@@ -1,11 +1,11 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet test bench experiments fuzz cover clean ci fmt-check race staticcheck governor-race bench-smoke obs-smoke crash-smoke cluster-smoke load-smoke trace-smoke
+.PHONY: all build vet test bench experiments fuzz fuzz-smoke cover clean ci fmt-check race staticcheck governor-race bench-smoke obs-smoke crash-smoke cluster-smoke load-smoke trace-smoke
 
 all: build vet test
 
 # Exactly what .github/workflows/ci.yml runs.
-ci: fmt-check vet staticcheck build test bench-smoke obs-smoke crash-smoke cluster-smoke trace-smoke load-smoke race governor-race
+ci: fmt-check vet staticcheck build test fuzz-smoke bench-smoke obs-smoke crash-smoke cluster-smoke trace-smoke load-smoke race governor-race
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -296,6 +296,12 @@ experiments:
 fuzz:
 	go test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/parser/
 	go test -fuzz=FuzzParseSPARQL -fuzztime=30s ./internal/parser/
+
+# Mirrors the CI fuzz-smoke step: 10 s of every parser fuzz target.
+fuzz-smoke:
+	for target in FuzzParseQuery FuzzParseSPARQL FuzzLexer; do \
+		go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/parser/ || exit 1; \
+	done
 
 cover:
 	go test -cover ./...

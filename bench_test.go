@@ -286,16 +286,12 @@ func BenchmarkE20_PlannerAblation(b *testing.B) {
 				sparql.Eval(g, p)
 			}
 		})
-		b.Run("planner-string/"+q.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan.EvalString(g, p)
-			}
-		})
 		b.Run("planner-rows/"+q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan.Eval(g, p)
+				if _, err := plan.EvalPrepared(g, plan.Prepare(g, p, plan.PlannerOptions{}), nil, plan.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -328,7 +324,9 @@ func BenchmarkE22_IncrementalView(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.Insert(rdf.T(rdf.IRI(fmt.Sprintf("hire_%d", i)), "works_at", "university_0"))
+			if _, err := v.Insert(nil, nil, rdf.T(rdf.IRI(fmt.Sprintf("hire_%d", i)), "works_at", "university_0")); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("recompute", func(b *testing.B) {
@@ -351,12 +349,16 @@ func BenchmarkE23_EarlyTermination(b *testing.B) {
 	})
 	b.Run("ask", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exec.Ask(g, p)
+			if _, err := exec.EvalCompiled(g, exec.Compile(g, p, nil, true, plan.PlannerOptions{}), nil, plan.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("limit-10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exec.Limit(g, p, 10)
+			if _, err := exec.Limit(g, plan.Prepare(g, p, plan.PlannerOptions{}), 10, nil, plan.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -117,7 +117,7 @@ func e27Gather(f *e27Fixture, tps []sparql.TriplePattern) rdf.Store {
 // compile against it and evaluate locally.
 func e27Answer(f *e27Fixture, p sparql.Pattern, tps []sparql.TriplePattern) *sparql.MappingSet {
 	sub := e27Gather(f, tps)
-	res, err := exec.EvalCompiled(sub, exec.Compile(sub, p, nil, false), nil, plan.Options{})
+	res, err := exec.EvalCompiled(sub, exec.Compile(sub, p, nil, false, plan.PlannerOptions{}), nil, plan.Options{})
 	if err != nil {
 		panic(fmt.Sprintf("nsbench: E27 eval failed: %v", err))
 	}
@@ -136,7 +136,9 @@ func init() {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan.Eval(f.full, p)
+				if _, err := planEval(f.full, p, plan.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 
@@ -166,7 +168,10 @@ func init() {
 		for _, q := range e27Queries {
 			p := mustPattern(q.text)
 			tps := sparql.TriplePatterns(p)
-			want := plan.Eval(e27Fixtures[1]().full, p)
+			want, err := planEval(e27Fixtures[1]().full, p, plan.Options{})
+			if err != nil {
+				panic(fmt.Sprintf("nsbench: E27 single-node eval failed: %v", err))
+			}
 			for _, n := range e27ShardCounts {
 				got := e27Answer(e27Fixtures[n](), p, tps)
 				check(got.Equal(want),

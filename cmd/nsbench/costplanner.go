@@ -63,8 +63,8 @@ func e28Workloads(s *workload.Social) []e28Workload {
 func e28Eval(s *workload.Social, queries []sparql.Pattern, po plan.PlannerOptions) int {
 	rows := 0
 	for _, q := range queries {
-		pr := plan.PrepareOpts(s.G, q, po)
-		ms, err := plan.EvalPreparedOpts(s.G, pr, nil, plan.Options{Parallel: 1})
+		pr := plan.Prepare(s.G, q, po)
+		ms, err := plan.EvalPrepared(s.G, pr, nil, plan.Options{Parallel: 1})
 		if err != nil {
 			panic(fmt.Sprintf("nsbench: E28 eval failed: %v", err))
 		}

@@ -57,7 +57,7 @@ func TestJSONBenchRegistry(t *testing.T) {
 	if byExp["E17"] < 9 { // naive, bucketed, rows × three sizes
 		t.Errorf("E17 has %d JSON benchmarks, want >= 9", byExp["E17"])
 	}
-	if byExp["E20"] < 9 { // reference, planner-string, planner-rows × three queries
+	if byExp["E20"] < 9 { // reference, planner-rows, planner-rows-parallel × three queries
 		t.Errorf("E20 has %d JSON benchmarks, want >= 9", byExp["E20"])
 	}
 	if byExp["E25"] < 15 { // nested/sorted/count × four scan shapes, linear, join-merge, join-hash

@@ -66,6 +66,12 @@ func registerBenchStats(experiment, name string, params map[string]interface{}, 
 	jsonBenches = append(jsonBenches, jsonBench{experiment: experiment, name: name, params: params, stats: stats, fn: fn})
 }
 
+// planEval prepares p under the default planner options and evaluates
+// it under o.
+func planEval(g rdf.Store, p sparql.Pattern, o plan.Options) (*sparql.MappingSet, error) {
+	return plan.EvalPrepared(g, plan.Prepare(g, p, plan.PlannerOptions{}), nil, o)
+}
+
 // planStats evaluates p once under a profile and folds the tree into
 // profStats: rows_scanned is the total operator output excluding the
 // root (which double-counts the final result set).
@@ -73,7 +79,7 @@ func planStats(g *rdf.Graph, p sparql.Pattern, o plan.Options) func() profStats 
 	return func() profStats {
 		prof := obs.NewNode("query", "")
 		o.Prof = prof
-		if _, err := plan.EvalOpts(g, p, nil, o); err != nil {
+		if _, err := planEval(g, p, o); err != nil {
 			panic(fmt.Sprintf("nsbench: profiled run failed: %v", err))
 		}
 		snap := prof.Snapshot()
@@ -185,16 +191,10 @@ func init() {
 				rs.Maximal()
 			}
 		})
-		registerBenchStats("E17", "maximal-rows-parallel", parParams(params), rowStats, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rs.MaximalPar(0)
-			}
-		})
 	}
 
 	// E20: the planner ablation — reference evaluator vs the optimized
-	// plan on string mappings vs the optimized plan on ID-native rows.
+	// plan on ID-native rows, serial and parallel.
 	queries := []struct {
 		name string
 		text string
@@ -213,22 +213,18 @@ func init() {
 				sparql.Eval(g, p)
 			}
 		})
-		registerBench("E20", "planner-string", params, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan.EvalString(g, p)
-			}
-		})
 		registerBenchStats("E20", "planner-rows", params, planStats(g, p, plan.Options{}), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan.Eval(g, p)
+				if _, err := planEval(g, p, plan.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		registerBenchStats("E20", "planner-rows-parallel", parParams(params), planStats(g, p, parOpts), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalOpts(g, p, nil, parOpts); err != nil {
+				if _, err := planEval(g, p, parOpts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -278,7 +274,7 @@ func init() {
 		registerBench("E24", "profile-off", params, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalOpts(g, p, nil, plan.Options{Parallel: 1}); err != nil {
+				if _, err := planEval(g, p, plan.Options{Parallel: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -287,7 +283,7 @@ func init() {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				prof := obs.NewNode("query", "")
-				if _, err := plan.EvalOpts(g, p, nil, plan.Options{Parallel: 1, Prof: prof}); err != nil {
+				if _, err := planEval(g, p, plan.Options{Parallel: 1, Prof: prof}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -300,7 +296,7 @@ func init() {
 		registerBenchStats("E21", "rows-serial", params, planStats(g, p, plan.Options{Parallel: 1}), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalOpts(g, p, nil, plan.Options{Parallel: 1}); err != nil {
+				if _, err := planEval(g, p, plan.Options{Parallel: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -308,7 +304,7 @@ func init() {
 		registerBenchStats("E21", "rows-parallel", parParams(params), planStats(g, p, parOpts), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalOpts(g, p, nil, parOpts); err != nil {
+				if _, err := planEval(g, p, parOpts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -59,8 +59,8 @@ var e30Configs = []e30Config{
 func e30Eval(s *workload.Social, queries []sparql.Pattern, cfg e30Config) int {
 	rows := 0
 	for _, q := range queries {
-		pr := plan.PrepareOpts(s.G, q, cfg.po)
-		ms, err := plan.EvalPreparedOpts(s.G, pr, nil, cfg.eo)
+		pr := plan.Prepare(s.G, q, cfg.po)
+		ms, err := plan.EvalPrepared(s.G, pr, nil, cfg.eo)
 		if err != nil {
 			panic(fmt.Sprintf("nsbench: E30 eval failed: %v", err))
 		}

@@ -232,7 +232,7 @@ func init() {
 		withMerge(true, func() {
 			b.ReportAllocs()
 			for j := 0; j < b.N; j++ {
-				if _, err := plan.EvalOpts(fx.g, joinPattern, nil, serial); err != nil {
+				if _, err := planEval(fx.g, joinPattern, serial); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -244,7 +244,7 @@ func init() {
 		withMerge(false, func() {
 			b.ReportAllocs()
 			for j := 0; j < b.N; j++ {
-				if _, err := plan.EvalOpts(fx.g, joinPattern, nil, serial); err != nil {
+				if _, err := planEval(fx.g, joinPattern, serial); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -259,9 +259,16 @@ func init() {
 			got := fx.g.CountMatchIDs(sc.s, sc.p, sc.o)
 			check(got == want, fmt.Sprintf("%s: sorted index and nested maps agree on %d triples", sc.name, got))
 		}
+		rowsOf := func() *sparql.MappingSet {
+			rs, err := sparql.EvalRows(fx.g, joinPattern, nil, sparql.ParOptions{})
+			if err != nil {
+				panic(fmt.Sprintf("nsbench: E25 star join failed: %v", err))
+			}
+			return rs.MappingSet(fx.g.Dict())
+		}
 		var merged, hashed *sparql.MappingSet
-		withMerge(true, func() { merged = sparql.EvalRowEngine(fx.g, joinPattern) })
-		withMerge(false, func() { hashed = sparql.EvalRowEngine(fx.g, joinPattern) })
+		withMerge(true, func() { merged = rowsOf() })
+		withMerge(false, func() { hashed = rowsOf() })
 		check(merged.Equal(hashed), fmt.Sprintf("star join: merge scan and hash join agree on %d rows", merged.Len()))
 		fx.g.Compact() // fold the residual overlay below the auto threshold
 		st := fx.g.Stats()

@@ -33,7 +33,7 @@ func init() {
 				batch = append(batch, rdf.T(
 					rdf.IRI(fmt.Sprintf("new_hire_%d", i)), "works_at", "university_0"))
 			}
-			dInc := timeIt(func() { v.Insert(batch...) })
+			dInc := timeIt(func() { v.Insert(nil, nil, batch...) })
 			var full rdf.Store
 			dFull := timeIt(func() { full = sparql.EvalConstruct(v.Base(), q) })
 			fmt.Printf("  %11d | %12d | %5d | %11s | %9s | %v\n",

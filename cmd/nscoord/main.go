@@ -115,8 +115,6 @@ func main() {
 			"query planner for the gathered subgraph: dp or greedy")
 		noReplan = flag.Bool("no-replan", false,
 			"disable adaptive mid-query re-optimization (dp planner only)")
-		noStaged = flag.Bool("no-staged", false,
-			"force the static parallel tree instead of morsel-style staged fan-out on adaptive chains (ablation)")
 		slowQuery = flag.Duration("slow-query", 0,
 			"log a structured slow-query line (and always keep the trace) for queries at least this slow (0 = off)")
 		traceSample = flag.Float64("trace-sample", 0.1,
@@ -175,7 +173,6 @@ func main() {
 		os.Exit(1)
 	}
 	cfg.planner.NoReplan = *noReplan
-	cfg.noStaged = *noStaged
 	s := newCoordServer(coord, cfg)
 	srv := &http.Server{
 		Addr:              *addr,

@@ -36,10 +36,6 @@ type coordConfig struct {
 	// query fresh, so no cache key is involved.
 	planner plan.PlannerOptions
 
-	// noStaged (-no-staged) forces the static parallel tree on
-	// adaptive-armed chains instead of morsel-style staged fan-out.
-	noStaged bool
-
 	// Tracing knobs, mirroring nsserve: slowQuery logs a structured
 	// slow-query line and marks traces always-keep; traceSample is the
 	// tail sampler's keep probability; traceBuffer sizes the completed
@@ -276,7 +272,7 @@ func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// (whose statistics drive join ordering), so the plan span carries
 	// the planner's Explain for this query's actual data.
 	psp := span.StartChild("plan", "")
-	compiled := exec.CompileOpts(g, parsed.Pattern, parsed.Construct, parsed.Ask, s.cfg.planner)
+	compiled := exec.Compile(g, parsed.Pattern, parsed.Construct, parsed.Ask, s.cfg.planner)
 	if ex := compiled.Prepared.Explain(); ex != nil {
 		psp.SetAttr("planner", ex.Planner)
 		psp.SetAttr("probes", ex.Probes)
@@ -298,7 +294,7 @@ func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	esp := span.StartChild("exec", "")
-	res, err := exec.EvalCompiled(g, compiled, bud, plan.Options{NoStaged: s.cfg.noStaged, Prof: prof, Trace: esp})
+	res, err := exec.EvalCompiled(g, compiled, bud, plan.Options{Prof: prof, Trace: esp})
 	if err != nil {
 		esp.SetStatus("error")
 		esp.SetAttr("error", err.Error())

@@ -157,31 +157,16 @@ func run(o runOpts) error {
 	if o.stats {
 		prof = obs.NewNode("query", "")
 	}
-	popts := plan.Options{Prof: prof}
-	bud := sparql.NewBudget(context.Background())
 
 	var q parser.Query
+	ask := false
 	if o.w3c {
 		sq, err := parser.ParseSPARQL(queryText)
 		if err != nil {
 			return fmt.Errorf("parsing query: %w", err)
 		}
-		if sq.Ask {
-			if o.stats {
-				pr := plan.Prepare(g, sq.Pattern)
-				printPlan(pr)
-				ok, err := exec.AskPreparedOpts(g, pr, bud, popts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(ok)
-				printStats(prof)
-				return nil
-			}
-			fmt.Println(exec.Ask(g, sq.Pattern))
-			return nil
-		}
 		q = parser.Query{Pattern: sq.Pattern, Construct: sq.Construct}
+		ask = sq.Ask
 	} else {
 		var err error
 		q, err = parser.ParseQuery(queryText)
@@ -190,61 +175,64 @@ func run(o runOpts) error {
 		}
 	}
 
-	evalPattern := sparql.Eval
-	evalConstruct := sparql.EvalConstruct
-	if o.optimize {
-		evalPattern = plan.Eval
-		evalConstruct = plan.EvalConstruct
-	}
-	switch {
-	case q.Construct != nil:
+	pattern := q.Pattern
+	if q.Construct != nil {
 		if o.maxOnly {
 			q.Construct.Where = sparql.NS{P: q.Construct.Where}
 		}
-		if o.showPlan {
+		pattern = q.Construct.Where
+	} else if o.maxOnly {
+		pattern = sparql.NS{P: pattern}
+	}
+	if o.showPlan {
+		switch {
+		case q.Construct != nil:
 			fmt.Println("#", q.Construct)
-		}
-		var out rdf.Store
-		if o.stats {
-			pr := plan.Prepare(g, q.Construct.Where)
-			printPlan(pr)
-			out, err = plan.EvalConstructPreparedOpts(g, pr, q.Construct.Template, bud, popts)
-			if err != nil {
-				return err
-			}
-		} else {
-			out = evalConstruct(g, *q.Construct)
-		}
-		fmt.Print(out)
-		if o.stats {
-			printStats(prof)
-		}
-	default:
-		p := q.Pattern
-		if o.maxOnly {
-			p = sparql.NS{P: p}
-		}
-		if o.showPlan {
-			fmt.Println("#", plan.Optimize(g, p))
-		}
-		var res *sparql.MappingSet
-		if o.stats {
-			pr := plan.Prepare(g, p)
-			printPlan(pr)
-			res, err = plan.EvalPreparedOpts(g, pr, bud, popts)
-			if err != nil {
-				return err
-			}
-		} else {
-			res = evalPattern(g, p)
-		}
-		fmt.Print(res.Table())
-		fmt.Printf("(%d solution%s)\n", res.Len(), plural(res.Len()))
-		if o.stats {
-			printStats(prof)
+		case !ask:
+			fmt.Println("#", plan.Optimize(g, pattern))
 		}
 	}
+
+	var res exec.Result
+	if o.optimize || o.stats {
+		c := exec.Compile(g, pattern, q.Construct, ask, plan.PlannerOptions{})
+		if o.stats {
+			printPlan(c.Prepared)
+		}
+		var err error
+		res, err = exec.EvalCompiled(g, c, sparql.NewBudget(context.Background()), plan.Options{Prof: prof})
+		if err != nil {
+			return err
+		}
+	} else {
+		res = evalReference(g, pattern, q.Construct, ask)
+	}
+	switch {
+	case res.Bool != nil:
+		fmt.Println(*res.Bool)
+	case res.Graph != nil:
+		fmt.Print(res.Graph)
+	default:
+		fmt.Print(res.Rows.Table())
+		fmt.Printf("(%d solution%s)\n", res.Rows.Len(), plural(res.Rows.Len()))
+	}
+	if o.stats {
+		printStats(prof)
+	}
 	return nil
+}
+
+// evalReference evaluates with the reference evaluator (-optimize=false).
+func evalReference(g rdf.Store, p sparql.Pattern, construct *sparql.ConstructQuery, ask bool) exec.Result {
+	switch {
+	case ask:
+		found := sparql.Eval(g, p).Len() > 0
+		return exec.Result{Bool: &found}
+	case construct != nil:
+		return exec.Result{Graph: sparql.EvalConstruct(g, *construct)}
+	default:
+		return exec.Result{Rows: sparql.Eval(g, p)}
+	}
 }
 
 func plural(n int) string {

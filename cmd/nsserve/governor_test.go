@@ -154,23 +154,34 @@ func TestConcurrentQueryLimit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	slow := "/query?timeout=10s&q=" + url.QueryEscape(expensiveAskQuery)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+slow, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
+	startSlow := func() chan struct{} {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+slow, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+		}()
+		return done
+	}
+	done := startSlow()
 
-	// Poll until the overflow 503 is observed.
+	// Poll until the overflow 503 is observed.  A poll that reaches the
+	// server first holds the slot and turns the slow query away with a
+	// 503 of its own; the slow query is then started again.
 	saw503 := false
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
+		select {
+		case <-done:
+			done = startSlow()
+		default:
+		}
 		resp, _ := get(t, ts, cheap)
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			saw503 = true

@@ -85,8 +85,7 @@
 //     share its governor, so the limits above bound the query as a
 //     whole regardless of the worker count.  Adaptive-armed AND
 //     chains run morsel-style on the pool (staged fan-out with drift
-//     checkpoints and mid-query re-planning); -no-staged forces the
-//     static parallel tree instead (ablation).
+//     checkpoints and mid-query re-planning).
 //   - -plan-cache bounds the LRU parse/plan cache (entries; 0
 //     disables).  Entries are keyed by (query text, graph epoch) and
 //     the epoch bumps on every insert, so a cached plan is never
@@ -180,8 +179,6 @@ func main() {
 			"query planner: dp (cost-based DP join ordering) or greedy (v1 heuristic baseline)")
 		noReplan = flag.Bool("no-replan", false,
 			"disable adaptive mid-query re-optimization (dp planner only)")
-		noStaged = flag.Bool("no-staged", false,
-			"force the static parallel tree instead of morsel-style staged fan-out on adaptive chains (ablation)")
 		slowQuery = flag.Duration("slow-query", 0,
 			"log a structured slow-query line (query, trace ID, plan, hottest operators) for /query requests at least this slow (0 = off)")
 		traceSample = flag.Float64("trace-sample", 0.1,
@@ -260,7 +257,6 @@ func main() {
 		os.Exit(1)
 	}
 	cfg.planner.NoReplan = *noReplan
-	cfg.noStaged = *noStaged
 	if *shardSpec != "" {
 		idx, n, err := parseShardSpec(*shardSpec)
 		if err != nil {

@@ -67,12 +67,6 @@ type config struct {
 	// the zero value is the cost-based DP planner with adaptive
 	// re-optimization.  Part of every plan-cache key via CacheTag.
 	planner plan.PlannerOptions
-
-	// noStaged (-no-staged) forces the static parallel tree on
-	// adaptive-armed chains instead of morsel-style staged fan-out —
-	// an engine option, not a planner option, so it is not part of
-	// the plan-cache key (the Prepared plan is identical either way).
-	noStaged bool
 }
 
 func defaultConfig() config {
@@ -478,7 +472,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Parallel:            s.cfg.parallel,
 		MinParallelEstimate: s.cfg.minParallelEstimate,
 		MinPartition:        s.cfg.minPartition,
-		NoStaged:            s.cfg.noStaged,
 		Prof:                prof,
 		Trace:               esp,
 	}
@@ -569,7 +562,7 @@ func (s *server) lookupPlan(syntax, qText string) (cp *cachedPlan, hit bool, err
 	if err != nil {
 		return nil, false, "parse error: " + err.Error()
 	}
-	cp = &cachedPlan{compiled: exec.CompileOpts(s.graph, parsed.Pattern, parsed.Construct, parsed.Ask, s.cfg.planner)}
+	cp = &cachedPlan{compiled: exec.Compile(s.graph, parsed.Pattern, parsed.Construct, parsed.Ask, s.cfg.planner)}
 	if s.plans != nil {
 		s.plans.put(key, cp)
 	}

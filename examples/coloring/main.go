@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sat"
 	"repro/internal/sparql"
@@ -52,12 +53,19 @@ func main() {
 
 	// 2 colors: the query has no answer (χ = 3).
 	g2, q2 := coloringQuery(h, 2)
-	fmt.Printf("2-colorable (via ASK)? %v\n", exec.Ask(g2, q2))
+	res, err := exec.EvalCompiled(g2, exec.Compile(g2, q2, nil, true, plan.PlannerOptions{}), nil, plan.Options{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("2-colorable (via ASK)? %v\n", *res.Bool)
 
 	// 3 colors: find one coloring fast, then count them all.
 	g3, q3 := coloringQuery(h, 3)
 	start := time.Now()
-	first := exec.Limit(g3, q3, 1)
+	first, err := exec.Limit(g3, plan.Prepare(g3, q3, plan.PlannerOptions{}), 1, nil, plan.Options{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("3-colorable? %v  (first coloring in %s)\n", first.Len() == 1, time.Since(start).Round(time.Microsecond))
 	for _, mu := range first.Mappings() {
 		fmt.Printf("  witness: %s\n", mu)

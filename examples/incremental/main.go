@@ -30,10 +30,13 @@ func main() {
 		v.Base().Len(), v.Graph().Len())
 
 	// New facts arrive; the view absorbs them incrementally.
-	added := v.Insert(
+	added, err := v.Insert(nil, nil,
 		rdf.T("new_hire", "works_at", "university_0"),
 		rdf.T("new_hire", "name", "Zoe"),
 	)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("After hiring Zoe: +%d output triple(s); view now has %d.\n",
 		added, v.Graph().Len())
 

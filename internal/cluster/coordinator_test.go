@@ -108,7 +108,7 @@ func gatherPatterns(t *testing.T, query string) (sparql.Pattern, []sparql.Triple
 func evalRows(t *testing.T, g rdf.Store, pattern sparql.Pattern) *sparql.MappingSet {
 	t.Helper()
 	b := sparql.NewBudget(context.Background())
-	res, err := exec.EvalCompiled(g, exec.Compile(g, pattern, nil, false), b, plan.Options{})
+	res, err := exec.EvalCompiled(g, exec.Compile(g, pattern, nil, false, plan.PlannerOptions{}), b, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestGatherPlannerDifferential(t *testing.T) {
 		}
 		want := sparql.Eval(full, pattern)
 		for _, po := range planners {
-			cp := exec.CompileOpts(sub, pattern, nil, false, po)
+			cp := exec.Compile(sub, pattern, nil, false, po)
 			res, err := exec.EvalCompiled(sub, cp, nil, plan.Options{})
 			if err != nil {
 				t.Fatalf("%q under %+v: %v", q, po, err)

@@ -27,18 +27,21 @@ type Compiled struct {
 	Ask bool
 }
 
-// Compile prepares pattern against g and tags the result with the
-// query kind.  construct may be nil and ask false for plain SELECT /
-// pattern queries.
-func Compile(g rdf.Store, pattern sparql.Pattern, construct *sparql.ConstructQuery, ask bool) Compiled {
-	return CompileOpts(g, pattern, construct, ask, plan.PlannerOptions{})
+// Compile prepares pattern against g under planner options po and
+// tags the result with the query kind.  construct may be nil and ask
+// false for plain SELECT / pattern queries.  Servers expose po as
+// flags (nsserve -planner) and must key their plan caches by
+// po.CacheTag().
+func Compile(g rdf.Store, pattern sparql.Pattern, construct *sparql.ConstructQuery, ask bool, po plan.PlannerOptions) Compiled {
+	return Compiled{Prepared: plan.Prepare(g, pattern, po), Construct: construct, Ask: ask}
 }
 
-// CompileOpts is Compile with explicit planner options; servers expose
-// these as flags (nsserve -planner) and must key their plan caches by
-// po.CacheTag().
+// CompileOpts is Compile.
+//
+// Deprecated: use Compile; this alias remains for the end-to-end
+// benchmark module under perfbench/, which builds against it.
 func CompileOpts(g rdf.Store, pattern sparql.Pattern, construct *sparql.ConstructQuery, ask bool, po plan.PlannerOptions) Compiled {
-	return Compiled{Prepared: plan.PrepareOpts(g, pattern, po), Construct: construct, Ask: ask}
+	return Compile(g, pattern, construct, ask, po)
 }
 
 // Result is the outcome of EvalCompiled; exactly one field is set,
@@ -53,30 +56,52 @@ type Result struct {
 }
 
 // EvalCompiled executes c against g under the budget and planner
-// options: ASK through the early-terminating search, CONSTRUCT
-// through the template instantiation path, everything else through
-// the row evaluator.  g must be the store c was prepared against (or
-// one with identical contents — the plan embeds index cardinalities,
-// not data).
+// options: ASK through the early-terminating search, CONSTRUCT by
+// instantiating the template over the WHERE answers, everything else
+// through the planned row evaluator.  g must be the store c was
+// prepared against (or one with identical contents — the plan embeds
+// index cardinalities, not data).
 func EvalCompiled(g rdf.Store, c Compiled, b *sparql.Budget, o plan.Options) (Result, error) {
 	switch {
 	case c.Ask:
-		ok, err := AskPreparedOpts(g, c.Prepared, b, o)
+		ok, err := ask(g, c.Prepared, b, o)
 		if err != nil {
 			return Result{}, err
 		}
 		return Result{Bool: &ok}, nil
 	case c.Construct != nil:
-		out, err := plan.EvalConstructPreparedOpts(g, c.Prepared, c.Construct.Template, b, o)
+		out, err := construct(g, c.Prepared, c.Construct.Template, b, o)
 		if err != nil {
 			return Result{}, err
 		}
 		return Result{Graph: out}, nil
 	default:
-		ms, err := plan.EvalPreparedOpts(g, c.Prepared, b, o)
+		ms, err := plan.EvalPrepared(g, c.Prepared, b, o)
 		if err != nil {
 			return Result{}, err
 		}
 		return Result{Rows: ms}, nil
 	}
+}
+
+// construct computes ans(Q, G) = {µ(t) | µ ∈ ⟦WHERE⟧_G, t ∈ template,
+// var(t) ⊆ dom(µ)} from the prepared WHERE plan, charging one budget
+// step per answer instantiated.
+func construct(g rdf.Store, pr plan.Prepared, template []sparql.TriplePattern, b *sparql.Budget, o plan.Options) (rdf.Store, error) {
+	ms, err := plan.EvalPrepared(g, pr, b, o)
+	if err != nil {
+		return nil, err
+	}
+	out := rdf.NewGraph()
+	for _, mu := range ms.Mappings() {
+		if err := b.Step(); err != nil {
+			return nil, err
+		}
+		for _, t := range template {
+			if tr, ok := mu.Apply(t); ok {
+				out.AddTriple(tr)
+			}
+		}
+	}
+	return out, nil
 }

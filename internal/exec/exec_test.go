@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/workload"
@@ -14,6 +15,47 @@ import (
 type rdfTriple = rdf.Triple
 
 var rdfT = rdf.T
+
+// askOf runs an ASK of p through the compiled path.
+func askOf(g rdf.Store, p sparql.Pattern, b *sparql.Budget) (bool, error) {
+	res, err := EvalCompiled(g, Compile(g, p, nil, true, plan.PlannerOptions{}), b, plan.Options{})
+	if err != nil {
+		return false, err
+	}
+	return *res.Bool, nil
+}
+
+// limitOf runs Limit on p prepared under the default planner options.
+func limitOf(g rdf.Store, p sparql.Pattern, k int, b *sparql.Budget) (*sparql.MappingSet, error) {
+	return Limit(g, plan.Prepare(g, p, plan.PlannerOptions{}), k, b, plan.Options{})
+}
+
+func mustAsk(t testing.TB, g rdf.Store, p sparql.Pattern) bool {
+	t.Helper()
+	ok, err := askOf(g, p, nil)
+	if err != nil {
+		t.Fatalf("ask %s: %v", p, err)
+	}
+	return ok
+}
+
+func mustLimit(t testing.TB, g rdf.Store, p sparql.Pattern, k int) *sparql.MappingSet {
+	t.Helper()
+	ms, err := limitOf(g, p, k, nil)
+	if err != nil {
+		t.Fatalf("limit %s: %v", p, err)
+	}
+	return ms
+}
+
+func mustContains(t testing.TB, g rdf.Store, q sparql.ConstructQuery, target rdf.Triple) bool {
+	t.Helper()
+	ok, err := ConstructContains(g, q, target, nil, plan.Options{})
+	if err != nil {
+		t.Fatalf("construct-contains %s: %v", q, err)
+	}
+	return ok
+}
 
 // TestLimitAllMatchesEvalQuick: Limit with k < 0 enumerates exactly the
 // reference answer set, on random full NS-SPARQL patterns.
@@ -24,7 +66,7 @@ func TestLimitAllMatchesEvalQuick(t *testing.T) {
 		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3})
 		g := workload.RandomGraph(rng, rng.Intn(20), nil)
 		want := sparql.Eval(g, p)
-		got := Limit(g, p, -1)
+		got := mustLimit(t, g, p, -1)
 		if !got.Equal(want) {
 			t.Logf("pattern %s\ngraph\n%s\nwant %v\ngot  %v", p, g, want, got)
 			return false
@@ -42,7 +84,7 @@ func TestAskMatchesEvalQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3})
 		g := workload.RandomGraph(rng, rng.Intn(20), nil)
-		return Ask(g, p) == (sparql.Eval(g, p).Len() > 0)
+		return mustAsk(t, g, p) == (sparql.Eval(g, p).Len() > 0)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -61,7 +103,7 @@ func TestLimitCounts(t *testing.T) {
 		if k > total {
 			want = total
 		}
-		got := Limit(g, p, k)
+		got := mustLimit(t, g, p, k)
 		if got.Len() != want {
 			t.Errorf("Limit(%d).Len() = %d, want %d", k, got.Len(), want)
 		}
@@ -83,7 +125,7 @@ func TestLimitDistinctUnderSelect(t *testing.T) {
 	// most a couple of distinct answers.
 	p := parser.MustParsePattern(`SELECT {?u} WHERE (?p works_at ?u)`)
 	total := sparql.Eval(g, p).Len()
-	got := Limit(g, p, total+5)
+	got := mustLimit(t, g, p, total+5)
 	if got.Len() != total {
 		t.Fatalf("Limit over-counted projections: %d vs %d", got.Len(), total)
 	}
@@ -94,11 +136,11 @@ func TestAskEarlyOnHugeGraph(t *testing.T) {
 	// witness; correctness check (the speed is measured in E23).
 	g := workload.University(workload.UniversityOpts{People: 3000, OptionalPct: 50, Seed: 3})
 	p := parser.MustParsePattern(`(?p name Name_1234) AND (?p works_at ?u)`)
-	if !Ask(g, p) {
+	if !mustAsk(t, g, p) {
 		t.Fatal("existing witness not found")
 	}
 	q := parser.MustParsePattern(`(?p name Name_1234) AND (?p works_at nowhere)`)
-	if Ask(g, q) {
+	if mustAsk(t, g, q) {
 		t.Fatal("nonexistent witness found")
 	}
 }
@@ -106,11 +148,11 @@ func TestAskEarlyOnHugeGraph(t *testing.T) {
 func TestAskWithOptAndNS(t *testing.T) {
 	g := workload.Figure2G2()
 	p := parser.MustParsePattern(`(?X was_born_in Chile) OPT (?X email ?Y)`)
-	if !Ask(g, p) {
+	if !mustAsk(t, g, p) {
 		t.Fatal("OPT pattern with answers reported empty")
 	}
 	ns := parser.MustParsePattern(`NS((?X was_born_in Peru))`)
-	if Ask(g, ns) {
+	if mustAsk(t, g, ns) {
 		t.Fatal("empty NS pattern reported non-empty")
 	}
 }
@@ -132,7 +174,7 @@ func TestConstructContainsQuick(t *testing.T) {
 		// Every produced triple is found...
 		ok := true
 		full.ForEach(func(tr rdfTriple) bool {
-			if !ConstructContains(g, q, tr) {
+			if !mustContains(t, g, q, tr) {
 				t.Logf("produced triple %v not found for %s", tr, q)
 				ok = false
 				return false
@@ -146,7 +188,7 @@ func TestConstructContainsQuick(t *testing.T) {
 		iris := append(workload.DefaultIRIs, "rel", "s", "p", "o")
 		for i := 0; i < 10; i++ {
 			probe := rdfT(iris[rng.Intn(len(iris))], iris[rng.Intn(len(iris))], iris[rng.Intn(len(iris))])
-			if ConstructContains(g, q, probe) != full.ContainsTriple(probe) {
+			if mustContains(t, g, q, probe) != full.ContainsTriple(probe) {
 				t.Logf("probe %v disagrees for %s", probe, q)
 				return false
 			}

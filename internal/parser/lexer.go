@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -76,16 +77,32 @@ func isBareRune(r rune) bool {
 	return !unicode.IsSpace(r)
 }
 
+// bareLen returns the byte length of the bare word at the start of s.
+func bareLen(s string) int {
+	n := 0
+	for n < len(s) {
+		r, size := utf8.DecodeRuneInString(s[n:])
+		if !isBareRune(r) {
+			break
+		}
+		n += size
+	}
+	return n
+}
+
 // lex tokenizes the whole input.  '#' starts a comment to end of line.
 func lex(input string) ([]token, error) {
 	var toks []token
 	i := 0
 	n := len(input)
 	for i < n {
-		r := rune(input[i])
+		// Decode whole runes: read byte by byte, the UTF-8 continuation
+		// bytes 0x85 and 0xA0 would pass for the spaces U+0085 and
+		// U+00A0 and split words such as "à".
+		r, size := utf8.DecodeRuneInString(input[i:])
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			i += size
 		case r == '#':
 			for i < n && input[i] != '\n' {
 				i++
@@ -131,10 +148,7 @@ func lex(input string) ([]token, error) {
 				return nil, fmt.Errorf("offset %d: single '|' (expected '||')", i)
 			}
 		case r == '?':
-			j := i + 1
-			for j < n && isBareRune(rune(input[j])) {
-				j++
-			}
+			j := i + 1 + bareLen(input[i+1:])
 			if j == i+1 {
 				return nil, fmt.Errorf("offset %d: '?' not followed by a variable name", i)
 			}
@@ -153,10 +167,7 @@ func lex(input string) ([]token, error) {
 			if !isBareRune(r) {
 				return nil, fmt.Errorf("offset %d: unexpected character %q", i, r)
 			}
-			j := i
-			for j < n && isBareRune(rune(input[j])) {
-				j++
-			}
+			j := i + bareLen(input[i:])
 			word := input[i:j]
 			if up := strings.ToUpper(word); keywords[up] {
 				toks = append(toks, token{tokKeyword, up, i})

@@ -23,6 +23,17 @@ func TestParseTriplePattern(t *testing.T) {
 	}
 }
 
+// TestParseNonASCIIWords: bare words are split on Unicode spaces only,
+// never inside a multi-byte character ("à" ends in the byte 0xA0, "Å"
+// in 0x85, the encodings of U+00A0 and U+0085 as single bytes).
+func TestParseNonASCIIWords(t *testing.T) {
+	p := MustParsePattern("(?à p\u00a0Å)")
+	want := sparql.TP(sparql.V("à"), sparql.I("p"), sparql.I("Å"))
+	if !sparql.Equal(p, want) {
+		t.Fatalf("got %s, want %s", p, want)
+	}
+}
+
 func TestParseBinaryOperatorsAndPrecedence(t *testing.T) {
 	// AND binds tighter than OPT, which binds tighter than UNION.
 	p := MustParsePattern("(?a p ?b) AND (?b q ?c) OPT (?c r ?d) UNION (?e s ?f)")

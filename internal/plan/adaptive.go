@@ -12,11 +12,11 @@
 // case a static order gets wrong.
 //
 // The driver is engine-agnostic: it is parameterized by chainOps, the
-// executor primitives of one engine.  evalAdaptiveChain instantiates
-// it with the serial row operators; the staged parallel executor
-// (staged.go) instantiates it with the parallel pool's morsel
-// operators, making the same drift checkpoints, re-plans, bind-join
-// gate and empty-prefix short-circuit available to both engines.
+// executor primitives of one engine.  evalChain (staged.go)
+// instantiates it with the serial row operators or with the parallel
+// pool's morsel operators, making the same drift checkpoints,
+// re-plans, bind-join gate and empty-prefix short-circuit available to
+// both engines.
 // Replans are visible as `replans=N` on the query profile node and
 // aggregate into the server's planner_replans counter.
 package plan
@@ -69,23 +69,10 @@ func serialChainOps(g rdf.Store, sc *sparql.VarSchema, b *sparql.Budget, hints *
 	}
 }
 
-// evalAdaptiveChain runs the prepared AND chain with drift-triggered
-// re-planning on the serial engine.  ok = false means the chain's
-// schema exceeds the row engine's width and nothing was evaluated (the
-// caller falls back to the string algebra, like the other row-engine
-// entry points).
-func evalAdaptiveChain(g rdf.Store, pr Prepared, b *sparql.Budget, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
-	sc, ok := sparql.SchemaFor(pr.pattern)
-	if !ok {
-		return nil, false, nil
-	}
-	return runInstrumentedChain(pr, serialChainOps(g, sc, b, pr.hints), "adaptive", b, prof, span)
-}
-
 // runInstrumentedChain wraps runChain with the driver's profile node
 // ("and" with the executor name as detail) and root counters, shared
 // by the serial and staged instantiations.
-func runInstrumentedChain(pr Prepared, ops chainOps, detail string, b *sparql.Budget, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
+func runInstrumentedChain(pr Prepared, ops chainOps, detail string, b *sparql.Budget, prof *obs.Node, span *obs.Span) (*sparql.RowSet, error) {
 	node := prof.Child("and", detail)
 	start := time.Now()
 	steps0, rows0, bytes0 := b.Counters()
@@ -98,10 +85,7 @@ func runInstrumentedChain(pr Prepared, ops chainOps, detail string, b *sparql.Bu
 			node.AddRowsOut(int64(rs.Len()))
 		}
 	}
-	if err != nil {
-		return nil, true, err
-	}
-	return rs, true, nil
+	return rs, err
 }
 
 // runChain is the engine-agnostic chain driver: evaluate operands in

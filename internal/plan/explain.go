@@ -99,8 +99,8 @@ type Explain struct {
 	// Staged marks the plan eligible for morsel-style staged parallel
 	// execution: when the evaluator routes it to the parallel engine
 	// (workers > 1, estimate over the cutover) the chain runs stage by
-	// stage with drift checkpoints instead of as a static tree, unless
-	// Options.NoStaged forces the tree.  Always equal to Adaptive
+	// stage with drift checkpoints instead of as a static tree.
+	// Always equal to Adaptive
 	// today (both require an armed chain) but recorded separately so
 	// the decision shows up in Explain JSON.
 	Staged    bool         `json:"staged"`

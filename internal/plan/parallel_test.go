@@ -25,7 +25,7 @@ func TestEvalOptsParallelMatchesReferenceQuick(t *testing.T) {
 		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3})
 		g := workload.RandomGraph(rng, rng.Intn(25), nil)
 		want := sparql.Eval(g, p)
-		got, err := EvalOpts(g, p, nil, forcePar)
+		got, err := EvalPrepared(g, Prepare(g, p, PlannerOptions{}), nil, forcePar)
 		if err != nil {
 			t.Logf("pattern %s: parallel eval failed: %v", p, err)
 			return false
@@ -67,10 +67,10 @@ func TestAndComponentsSplit(t *testing.T) {
 		t.Fatalf("root children share variables %v — components not split", shared)
 	}
 	want := sparql.Eval(g, p)
-	if got := Eval(g, p); !got.Equal(want) {
+	if got := evalPlan(t, g, p, Options{}); !got.Equal(want) {
 		t.Fatalf("component plan diverges\ngot: %v\nwant:%v", got, want)
 	}
-	if got, err := EvalOpts(g, p, nil, forcePar); err != nil || !got.Equal(want) {
+	if got, err := EvalPrepared(g, Prepare(g, p, PlannerOptions{}), nil, forcePar); err != nil || !got.Equal(want) {
 		t.Fatalf("parallel component plan diverges (err=%v)\ngot: %v\nwant:%v", err, got, want)
 	}
 }
@@ -105,7 +105,7 @@ func TestConnectedChainStaysLeftDeep(t *testing.T) {
 		t.Fatalf("connected chain not left-deep: right child is %T", and.R)
 	}
 	want := sparql.Eval(g, p)
-	if got := Eval(g, p); !got.Equal(want) {
+	if got := evalPlan(t, g, p, Options{}); !got.Equal(want) {
 		t.Fatalf("left-deep plan diverges\ngot: %v\nwant:%v", got, want)
 	}
 }

@@ -27,14 +27,16 @@
 //     (sparql.EvalRows): dictionary-encoded rows with presence bitsets,
 //     hash joins keyed on always-bound slot masks, and the
 //     mask-bucketed NS algorithm.  Patterns wider than
-//     sparql.MaxSchemaVars fall back to the string hash algebra
-//     (EvalString), which also remains available for the E20 ablation.
+//     sparql.MaxSchemaVars run on the budgeted reference evaluator
+//     (sparql.EvalBudget) instead.
 //
-// These choices are ablated in the E20 experiment.
+// The API is one preparation and one evaluation step: Prepare
+// optimizes a pattern against a graph into a cacheable Prepared plan,
+// and EvalPrepared runs it under a budget and engine Options.  These
+// choices are ablated in the E20 experiment.
 package plan
 
 import (
-	"context"
 	"runtime"
 	"time"
 
@@ -62,19 +64,12 @@ type Options struct {
 	// MinPartition is passed through to the row engine's partitioned
 	// operators (0 = sparql.DefaultMinPartition).
 	MinPartition int
-	// NoStaged forces the static parallel tree even when the plan is
-	// staged-eligible (an adaptive-armed AND chain): the whole chain
-	// fans out at once with no drift checkpoints — the E30 ablation
-	// baseline, exposed as -no-staged on nsserve and nscoord.  It has
-	// no effect on serial evaluation or on plans that are not
-	// adaptive-armed.
-	NoStaged bool
 	// Prof, when non-nil, collects a per-query execution profile: the
 	// evaluator attaches one obs child node per operator under it (see
-	// internal/obs and sparql.EvalRowsProf).  The string-algebra
-	// fallback for patterns wider than sparql.MaxSchemaVars records
-	// only root-level totals.  A nil Prof disables all instrumentation
-	// at the cost of one nil check per operator node.
+	// internal/obs and sparql.EvalRows).  The reference-evaluator path
+	// for patterns wider than sparql.MaxSchemaVars records only
+	// root-level totals.  A nil Prof disables all instrumentation at
+	// the cost of one nil check per operator node.
 	Prof *obs.Node
 	// Trace, when non-nil, is the live execution span of the query's
 	// distributed trace: the adaptive chain executor records each
@@ -103,37 +98,6 @@ func (o Options) minEstimate() float64 {
 	return o.MinParallelEstimate
 }
 
-// Eval optimizes the pattern for the given graph and evaluates it on
-// the ID-native row engine, decoding at the boundary.  It always
-// returns exactly ⟦P⟧_G.  Eval is the ungoverned legacy entry point
-// (context.Background(), no limits); servers should use EvalCtx or
-// EvalBudget so hostile queries cannot run unboundedly.
-func Eval(g rdf.Store, p sparql.Pattern) *sparql.MappingSet {
-	ms, err := EvalBudget(g, p, nil)
-	if err != nil {
-		// Only a malformed plan can fail without a budget; degrade to
-		// the empty answer instead of crashing the caller.
-		return sparql.NewMappingSet()
-	}
-	return ms
-}
-
-// EvalCtx is Eval bounded by a context: evaluation aborts with a typed
-// error (wrapping sparql.ErrCanceled and the context cause) shortly
-// after ctx is canceled or its deadline expires.
-func EvalCtx(ctx context.Context, g rdf.Store, p sparql.Pattern) (*sparql.MappingSet, error) {
-	return EvalBudget(g, p, sparql.NewBudget(ctx))
-}
-
-// EvalBudget is Eval under a full resource governor (see
-// sparql.Budget): deadline, step, row and memory limits all surface as
-// typed errors instead of unbounded work.  A nil budget disables all
-// accounting.  It runs with the default Options — the parallel engine
-// on multi-core hosts, gated by the cardinality estimate.
-func EvalBudget(g rdf.Store, p sparql.Pattern, b *sparql.Budget) (*sparql.MappingSet, error) {
-	return EvalOpts(g, p, b, Options{})
-}
-
 // Prepared is an optimized, ready-to-run query plan: the rewritten
 // pattern, the planner's cardinality estimate for the serial/parallel
 // cutover, the recorded plan (Explain), the engine hints, and — for
@@ -156,6 +120,9 @@ type Prepared struct {
 	// chain[:i+1].
 	chain     []sparql.Pattern
 	chainEsts []float64
+	// schema is the row engine's variable schema of pattern, nil when
+	// the pattern is wider than sparql.MaxSchemaVars.
+	schema *sparql.VarSchema
 }
 
 // Pattern returns the optimized pattern the plan will evaluate.
@@ -164,18 +131,20 @@ func (pr Prepared) Pattern() sparql.Pattern { return pr.pattern }
 // Explain returns the recorded plan (nil only for a zero Prepared).
 func (pr Prepared) Explain() *Explain { return pr.explain }
 
-// Prepare optimizes p for g under the default planner options, the
-// graph-dependent (and therefore cacheable) half of EvalOpts.
-func Prepare(g rdf.Store, p sparql.Pattern) Prepared {
-	return PrepareOpts(g, p, PlannerOptions{})
-}
+// Schema returns the row engine's variable schema of the optimized
+// pattern, or nil when the pattern is wider than sparql.MaxSchemaVars
+// (such plans evaluate on the reference evaluator).
+func (pr Prepared) Schema() *sparql.VarSchema { return pr.schema }
 
-// PrepareOpts is Prepare with explicit planner options (greedy
-// baseline, DP cutoff, re-plan factor).
-func PrepareOpts(g rdf.Store, p sparql.Pattern, po PlannerOptions) Prepared {
+// Prepare optimizes p for g under planner options po (greedy baseline,
+// DP cutoff, re-plan factor; the zero value is the production
+// default): the graph-dependent, and therefore cacheable, half of
+// evaluation.
+func Prepare(g rdf.Store, p sparql.Pattern, po PlannerOptions) Prepared {
 	pc := &planCtx{g: g, e: newEstimator(g), po: po}
 	opt := pc.optimize(sparql.SimplifyPattern(p))
 	pr := Prepared{pattern: opt, popts: po, estr: pc.e}
+	pr.schema, _ = sparql.SchemaFor(opt)
 	if _, ok := opt.(sparql.And); ok {
 		// andOperands of the rebuilt tree recovers the planner's full
 		// chain order (left-deep within components, concatenated across).
@@ -195,52 +164,18 @@ func identityOrder(n int) []int {
 	return order
 }
 
-// EvalOpts is EvalBudget with explicit engine options: the optimized
-// pattern runs on the parallel row engine when o asks for more than
-// one worker and the cardinality estimate clears the serial cutover,
-// and on the serial row engine otherwise.  Both engines return exactly
-// the same answer set (differentially tested); the string algebra
-// remains the fallback for patterns wider than sparql.MaxSchemaVars.
-func EvalOpts(g rdf.Store, p sparql.Pattern, b *sparql.Budget, o Options) (*sparql.MappingSet, error) {
-	return EvalPreparedOpts(g, Prepare(g, p), b, o)
-}
-
-// EvalPreparedOpts runs a Prepared plan, skipping the optimization and
-// estimation passes — the evaluation half of EvalOpts, split out so
-// servers can cache plans across requests.
-func EvalPreparedOpts(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (*sparql.MappingSet, error) {
+// EvalPrepared runs a Prepared plan under budget b (nil disables
+// accounting; limits surface as the budget's typed errors).  The
+// optimized pattern runs on the parallel row engine when o asks for
+// more than one worker and the cardinality estimate clears the serial
+// cutover, and on the serial row engine otherwise; adaptive-armed AND
+// chains go through the chain driver on either engine.  All engines
+// return exactly the same answer set (differentially tested).  A plan
+// wider than sparql.MaxSchemaVars is evaluated by the budgeted
+// reference evaluator, sparql.EvalBudget.
+func EvalPrepared(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (*sparql.MappingSet, error) {
 	start := time.Now()
 	steps0, rows0, bytes0 := b.Counters()
-	opt := pr.pattern
-	var (
-		rs  *sparql.RowSet
-		ok  bool
-		err error
-	)
-	if workers := o.workers(); workers > 1 && pr.est >= o.minEstimate() {
-		if pr.adaptiveArmed() && !o.NoStaged {
-			// Morsel-style staged fan-out: run the chain stage by
-			// stage on the pool, observing materialized prefix
-			// cardinalities and re-planning the tail between stages
-			// (staged.go).
-			rs, ok, err = evalStagedChain(g, pr, b, o, o.Prof, o.Trace)
-		} else {
-			// Static tree: the whole plan fans out at once (no
-			// sequential drift checkpoint exists once the chain is
-			// committed) — non-chain plans, -no-replan, -no-staged
-			// and the greedy baseline.
-			rs, ok, err = sparql.EvalRowsParOpts(g, opt, b, sparql.ParOptions{
-				Workers:      workers,
-				MinPartition: o.MinPartition,
-				Prof:         o.Prof,
-				Hints:        pr.hints,
-			})
-		}
-	} else if pr.adaptiveArmed() {
-		rs, ok, err = evalAdaptiveChain(g, pr, b, o.Prof, o.Trace)
-	} else {
-		rs, ok, err = sparql.EvalRowsHints(g, opt, b, o.Prof, pr.hints)
-	}
 	recordRoot := func(resultRows int) {
 		if o.Prof == nil {
 			return
@@ -250,88 +185,50 @@ func EvalPreparedOpts(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (*s
 		o.Prof.AddBudget(steps1-steps0, rows1-rows0, bytes1-bytes0)
 		o.Prof.AddRowsOut(int64(resultRows))
 	}
-	if err != nil {
-		recordRoot(0)
-		return nil, err
-	}
-	if ok {
-		if err := b.AddRows(rs.Len()); err != nil {
+	if pr.schema == nil {
+		ms, err := sparql.EvalBudget(g, pr.pattern, b)
+		if err == nil {
+			err = b.AddRows(ms.Len())
+		}
+		if err != nil {
 			recordRoot(0)
 			return nil, err
 		}
-		recordRoot(rs.Len())
-		return rs.MappingSet(g.Dict()), nil
+		recordRoot(ms.Len())
+		return ms, nil
 	}
-	ms, err := evalOptBudget(g, opt, b) // wider than MaxSchemaVars
+	var (
+		rs  *sparql.RowSet
+		err error
+	)
+	workers := o.workers()
+	if workers <= 1 || pr.est < o.minEstimate() {
+		workers = 1
+	}
+	if pr.adaptiveArmed() {
+		// Drift-checkpointed chain execution: serially operand by
+		// operand, or morsel-style with each join stage fanned out on
+		// the pool (staged.go).
+		rs, err = evalChain(g, pr, b, o, workers)
+	} else {
+		// Static tree: the whole plan runs at once — non-chain plans,
+		// -no-replan and the greedy baseline.
+		rs, err = sparql.EvalRows(g, pr.pattern, b, sparql.ParOptions{
+			Workers:      workers,
+			MinPartition: o.MinPartition,
+			Prof:         o.Prof,
+			Hints:        pr.hints,
+		})
+	}
+	if err == nil {
+		err = b.AddRows(rs.Len())
+	}
 	if err != nil {
 		recordRoot(0)
 		return nil, err
 	}
-	if err := b.AddRows(ms.Len()); err != nil {
-		recordRoot(0)
-		return nil, err
-	}
-	recordRoot(ms.Len())
-	return ms, nil
-}
-
-// EvalString optimizes the pattern and evaluates it with the
-// string-mapping hash algebra — the pre-row-engine planner path, kept
-// as the E20 ablation baseline and the fallback for patterns wider
-// than sparql.MaxSchemaVars.
-func EvalString(g rdf.Store, p sparql.Pattern) *sparql.MappingSet {
-	ms, err := evalOptBudget(g, Optimize(g, p), nil)
-	if err != nil {
-		return sparql.NewMappingSet()
-	}
-	return ms
-}
-
-// EvalConstruct is the planner-backed counterpart of
-// sparql.EvalConstruct.
-func EvalConstruct(g rdf.Store, q sparql.ConstructQuery) rdf.Store {
-	out, err := EvalConstructBudget(g, q, nil)
-	if err != nil {
-		return rdf.NewGraph()
-	}
-	return out
-}
-
-// EvalConstructCtx is EvalConstruct bounded by a context.
-func EvalConstructCtx(ctx context.Context, g rdf.Store, q sparql.ConstructQuery) (rdf.Store, error) {
-	return EvalConstructBudget(g, q, sparql.NewBudget(ctx))
-}
-
-// EvalConstructBudget is EvalConstruct under a resource governor.
-func EvalConstructBudget(g rdf.Store, q sparql.ConstructQuery, b *sparql.Budget) (rdf.Store, error) {
-	return EvalConstructOpts(g, q, b, Options{})
-}
-
-// EvalConstructOpts is EvalConstructBudget with explicit engine
-// options.
-func EvalConstructOpts(g rdf.Store, q sparql.ConstructQuery, b *sparql.Budget, o Options) (rdf.Store, error) {
-	return EvalConstructPreparedOpts(g, Prepare(g, q.Where), q.Template, b, o)
-}
-
-// EvalConstructPreparedOpts is EvalConstructOpts on an already-prepared
-// WHERE plan (the template needs no preparation).
-func EvalConstructPreparedOpts(g rdf.Store, pr Prepared, template []sparql.TriplePattern, b *sparql.Budget, o Options) (rdf.Store, error) {
-	ms, err := EvalPreparedOpts(g, pr, b, o)
-	if err != nil {
-		return nil, err
-	}
-	out := rdf.NewGraph()
-	for _, mu := range ms.Mappings() {
-		if err := b.Step(); err != nil {
-			return nil, err
-		}
-		for _, t := range template {
-			if tr, ok := mu.Apply(t); ok {
-				out.AddTriple(tr)
-			}
-		}
-	}
-	return out, nil
+	recordRoot(rs.Len())
+	return rs.MappingSet(g.Dict()), nil
 }
 
 // Optimize rewrites the pattern into a semantically equal pattern with
@@ -516,85 +413,4 @@ func pushFilter(p sparql.Pattern, cond sparql.Condition) (sparql.Pattern, bool) 
 // estimator in cost.go; this entry point builds a throwaway memo.)
 func Estimate(g rdf.Store, p sparql.Pattern) float64 {
 	return newEstimator(g).estimate(p)
-}
-
-// evalOptBudget mirrors sparql.Eval with the hash-based algebra
-// primitives, charging the budget per operator (cardinality-
-// proportional, like sparql.EvalBudget).
-func evalOptBudget(g rdf.Store, p sparql.Pattern, b *sparql.Budget) (*sparql.MappingSet, error) {
-	if err := b.Step(); err != nil {
-		return nil, err
-	}
-	switch q := p.(type) {
-	case sparql.TriplePattern:
-		return sparql.EvalBudget(g, q, b)
-	case sparql.And:
-		l, err := evalOptBudget(g, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalOptBudget(g, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(l.Len() + r.Len()); err != nil {
-			return nil, err
-		}
-		return l.JoinHash(r), nil
-	case sparql.Union:
-		l, err := evalOptBudget(g, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalOptBudget(g, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(l.Len() + r.Len()); err != nil {
-			return nil, err
-		}
-		return l.Union(r), nil
-	case sparql.Opt:
-		l, err := evalOptBudget(g, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalOptBudget(g, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(l.Len() + r.Len()); err != nil {
-			return nil, err
-		}
-		return l.LeftJoinHash(r), nil
-	case sparql.Filter:
-		inner, err := evalOptBudget(g, q.P, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(inner.Len()); err != nil {
-			return nil, err
-		}
-		return inner.Filter(q.Cond), nil
-	case sparql.Select:
-		inner, err := evalOptBudget(g, q.P, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(inner.Len()); err != nil {
-			return nil, err
-		}
-		return inner.Project(q.Vars), nil
-	case sparql.NS:
-		inner, err := evalOptBudget(g, q.P, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(inner.Len() * inner.Len()); err != nil {
-			return nil, err
-		}
-		return inner.Maximal(), nil
-	default:
-		return nil, sparql.ErrUnsupportedPattern{Pattern: p}
-	}
 }

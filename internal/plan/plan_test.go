@@ -21,7 +21,7 @@ func TestEvalMatchesReferenceQuick(t *testing.T) {
 		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3})
 		g := workload.RandomGraph(rng, rng.Intn(25), nil)
 		want := sparql.Eval(g, p)
-		got := Eval(g, p)
+		got := evalPlan(t, g, p, Options{})
 		if !got.Equal(want) {
 			t.Logf("pattern %s\noptimized %s\ngraph\n%s\nwant %v\ngot  %v",
 				p, Optimize(g, p), g, want, got)
@@ -53,15 +53,6 @@ func TestOptimizePreservesSemanticsQuick(t *testing.T) {
 	}
 }
 
-func TestEvalConstructMatchesReference(t *testing.T) {
-	g := workload.Figure3()
-	q := parser.MustParseConstruct(`CONSTRUCT {(?n affiliated_to ?u), (?n email ?e)}
-		WHERE ((?p name ?n) AND (?p works_at ?u)) OPT (?p email ?e)`)
-	if !EvalConstruct(g, q).Equal(sparql.EvalConstruct(g, q)) {
-		t.Fatal("planner CONSTRUCT differs from reference")
-	}
-}
-
 func TestFilterPushdown(t *testing.T) {
 	g := workload.University(workload.UniversityOpts{People: 50, OptionalPct: 50, Seed: 3})
 	p := parser.MustParsePattern(
@@ -72,7 +63,7 @@ func TestFilterPushdown(t *testing.T) {
 	if _, isFilter := opt.(sparql.Filter); isFilter {
 		t.Fatalf("filter not pushed down: %s", opt)
 	}
-	if !sparql.Eval(g, p).Equal(Eval(g, p)) {
+	if !sparql.Eval(g, p).Equal(evalPlan(t, g, p, Options{})) {
 		t.Fatal("pushdown changed semantics")
 	}
 }
@@ -87,7 +78,7 @@ func TestFilterNotPushedWhenUnsafe(t *testing.T) {
 	if _, isFilter := opt.(sparql.Filter); !isFilter {
 		t.Fatalf("unsafe filter was pushed: %s", opt)
 	}
-	if !sparql.Eval(g, p).Equal(Eval(g, p)) {
+	if !sparql.Eval(g, p).Equal(evalPlan(t, g, p, Options{})) {
 		t.Fatal("semantics changed")
 	}
 }
@@ -103,7 +94,7 @@ func TestJoinOrdering(t *testing.T) {
 		// smaller estimate.
 		t.Fatalf("join order not by selectivity: %s", opt)
 	}
-	if !sparql.Eval(g, p).Equal(Eval(g, p)) {
+	if !sparql.Eval(g, p).Equal(evalPlan(t, g, p, Options{})) {
 		t.Fatal("reordering changed semantics")
 	}
 }
@@ -155,17 +146,13 @@ func TestCountMatchAgainstEnumeration(t *testing.T) {
 	}
 }
 
-// TestEvalStringMatchesEvalQuick pins the E20 ablation baseline: the
-// string-mapping planner path and the row-engine path must agree.
-func TestEvalStringMatchesEvalQuick(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3})
-		g := workload.RandomGraph(rng, rng.Intn(25), nil)
-		return EvalString(g, p).Equal(Eval(g, p))
+// evalPlan prepares p under the default planner options and evaluates
+// it under o, failing the test on an evaluation error.
+func evalPlan(t testing.TB, g rdf.Store, p sparql.Pattern, o Options) *sparql.MappingSet {
+	t.Helper()
+	ms, err := EvalPrepared(g, Prepare(g, p, PlannerOptions{}), nil, o)
+	if err != nil {
+		t.Fatalf("eval %s: %v", p, err)
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
+	return ms
 }

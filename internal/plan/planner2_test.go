@@ -38,7 +38,7 @@ func TestPrepareProbeCount(t *testing.T) {
 		t.Fatalf("expected 6 patterns, got %d", k)
 	}
 	cs := &countingStore{Store: s.G}
-	pr := PrepareOpts(cs, q, PlannerOptions{})
+	pr := Prepare(cs, q, PlannerOptions{})
 	if cs.probes != k {
 		t.Fatalf("Prepare issued %d index probes for %d patterns, want exactly %d (memoized)",
 			cs.probes, k, k)
@@ -55,7 +55,7 @@ func TestPrepareProbeCount(t *testing.T) {
 	}
 	// The greedy baseline must be equally frugal.
 	cs2 := &countingStore{Store: s.G}
-	PrepareOpts(cs2, q, PlannerOptions{Greedy: true})
+	Prepare(cs2, q, PlannerOptions{Greedy: true})
 	if cs2.probes != k {
 		t.Fatalf("greedy Prepare issued %d probes, want %d", cs2.probes, k)
 	}
@@ -93,7 +93,7 @@ func TestExplainWellDesigned(t *testing.T) {
 	sawTrue, sawFalse := false, false
 	for _, q := range queries {
 		p := parser.MustParsePattern(q)
-		ex := PrepareOpts(g, p, PlannerOptions{}).Explain()
+		ex := Prepare(g, p, PlannerOptions{}).Explain()
 		if ex == nil {
 			t.Fatalf("%q: no explain record", q)
 		}
@@ -149,12 +149,12 @@ func TestPlannerDifferential(t *testing.T) {
 	for qi, q := range queries {
 		want := sparql.Eval(s.G, q)
 		for _, cfg := range plannerConfigs {
-			pr := PrepareOpts(s.G, q, cfg.po)
+			pr := Prepare(s.G, q, cfg.po)
 			for _, opts := range []Options{
 				{Parallel: 1},
 				{MinParallelEstimate: -1}, // force the parallel engine
 			} {
-				got, err := EvalPreparedOpts(s.G, pr, nil, opts)
+				got, err := EvalPrepared(s.G, pr, nil, opts)
 				if err != nil {
 					t.Fatalf("q%d %s under %s: %v", qi, q, cfg.name, err)
 				}
@@ -208,9 +208,9 @@ func TestAdaptiveReplanAndBindJoin(t *testing.T) {
 	q := parser.MustParsePattern(fmt.Sprintf(
 		"(?x livesIn %s) AND (?x worksAt %s) AND (?x knows ?y) AND (?y name ?n) AND (?x type Person)",
 		city, org))
-	pr := PrepareOpts(s.G, q, PlannerOptions{})
+	pr := Prepare(s.G, q, PlannerOptions{})
 	prof := obs.NewNode("query", "")
-	got, err := EvalPreparedOpts(s.G, pr, nil, Options{Parallel: 1, Prof: prof})
+	got, err := EvalPrepared(s.G, pr, nil, Options{Parallel: 1, Prof: prof})
 	if err != nil {
 		t.Fatal(err)
 	}

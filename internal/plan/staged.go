@@ -1,12 +1,12 @@
 // Staged adaptive parallel execution (morsel-style fan-out with
 // mid-query re-planning).
 //
-// The static parallel engine (sparql.EvalRowsParOpts) commits the
-// whole DP-ordered AND chain to a plan-time tree: it fans operands and
-// partitioned joins out across the worker pool, but once the tree is
-// built no observation can change it — exactly the queries big enough
-// to parallelize are the ones stuck with estimate-only plans when
-// cardinalities drift.  The staged executor instead drives the chain
+// The static parallel engine (sparql.EvalRows with Workers > 1)
+// commits the whole DP-ordered AND chain to a plan-time tree: it fans
+// operands and partitioned joins out across the worker pool, but once
+// the tree is built no observation can change it — exactly the
+// queries big enough to parallelize are the ones stuck with
+// estimate-only plans when cardinalities drift.  The staged executor instead drives the chain
 // through the shared adaptive driver (runChain in adaptive.go) with
 // the parallel pool's operators plugged in:
 //
@@ -26,32 +26,29 @@
 //
 // Stages are visible as `stages=N` and bind probes as `bind_probes=N`
 // on the profile's staged "and" node, and each stage records a trace
-// span (position, strategy, rows).  Options.NoStaged (nsserve/nscoord
-// -no-staged) forces the static tree for ablation; -no-replan disarms
-// the adaptive driver entirely, which also routes parallel queries to
-// the static tree (the E30 "static-parallel" baseline).
+// span (position, strategy, rows).  -no-replan disarms the adaptive
+// driver entirely, which routes parallel queries to the static tree
+// (the E30 "static-parallel" baseline).
 package plan
 
 import (
-	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
-// evalStagedChain runs the prepared AND chain morsel-style on the
-// parallel engine.  ok = false means the chain's schema exceeds the
-// row engine's width and nothing was evaluated (the caller falls back
-// to the string algebra).
-func evalStagedChain(g rdf.Store, pr Prepared, b *sparql.Budget, o Options, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
-	x, ok := sparql.NewStagedExec(g, pr.pattern, b, sparql.ParOptions{
-		Workers:      o.workers(),
+// evalChain runs the prepared AND chain through the chain driver: on
+// the serial row engine when workers is 1, and morsel-style on a pool
+// of workers otherwise.
+func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, o Options, workers int) (*sparql.RowSet, error) {
+	if workers <= 1 {
+		return runInstrumentedChain(pr, serialChainOps(g, pr.schema, b, pr.hints), "adaptive", b, o.Prof, o.Trace)
+	}
+	x := sparql.NewStagedExec(g, pr.schema, b, sparql.ParOptions{
+		Workers:      workers,
 		MinPartition: o.MinPartition,
 		Hints:        pr.hints,
 	})
-	if !ok {
-		return nil, false, nil
-	}
-	return runInstrumentedChain(pr, stagedChainOps(x), "staged", b, prof, span)
+	return runInstrumentedChain(pr, stagedChainOps(x), "staged", b, o.Prof, o.Trace)
 }
 
 // stagedChainOps plugs the parallel pool's morsel operators into the

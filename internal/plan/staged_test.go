@@ -56,8 +56,8 @@ func TestStagedMatchesReferenceQuick(t *testing.T) {
 			p = sparql.And{L: p, R: workload.RandomTriplePattern(rng, &workload.PatternOpts{})}
 		}
 		want := sparql.Eval(g, p)
-		pr := PrepareOpts(g, p, PlannerOptions{})
-		got, err := EvalPreparedOpts(g, pr, nil, forcePar)
+		pr := Prepare(g, p, PlannerOptions{})
+		got, err := EvalPrepared(g, pr, nil, forcePar)
 		if err != nil {
 			t.Fatalf("trial %d %s: staged eval failed: %v", trial, p, err)
 		}
@@ -71,22 +71,23 @@ func TestStagedMatchesReferenceQuick(t *testing.T) {
 // TestStagedRouting pins the engine routing: an armed chain under the
 // parallel gates runs on the staged executor (an "and" node with
 // detail "staged" and a positive stage count appears on the profile),
-// NoStaged forces it back onto the static tree, and the serial engine
-// keeps the serial adaptive driver.  All three answer identically.
+// a NoReplan plan of the same query runs on the static tree, and the
+// serial engine keeps the serial adaptive driver.  All three answer
+// identically.
 func TestStagedRouting(t *testing.T) {
 	s := workload.NewSocial(workload.SocialOpts{People: 300})
 	q := parser.MustParsePattern(
 		"(?x livesIn city_1) AND (?x worksAt org_0) AND (?x knows ?y) AND (?y name ?n)")
 	want := sparql.Eval(s.G, q)
-	pr := PrepareOpts(s.G, q, PlannerOptions{})
+	pr := Prepare(s.G, q, PlannerOptions{})
 	if !pr.adaptiveArmed() {
 		t.Fatal("test query must arm the adaptive driver")
 	}
 
-	run := func(o Options) (*obs.Profile, *sparql.MappingSet) {
+	run := func(pr Prepared, o Options) (*obs.Profile, *sparql.MappingSet) {
 		prof := obs.NewNode("query", "")
 		o.Prof = prof
-		got, err := EvalPreparedOpts(s.G, pr, nil, o)
+		got, err := EvalPrepared(s.G, pr, nil, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestStagedRouting(t *testing.T) {
 		return prof.Snapshot(), got
 	}
 
-	staged, _ := run(forcePar)
+	staged, _ := run(pr, forcePar)
 	node := findNode(staged, "and", "staged")
 	if node == nil {
 		t.Fatal("parallel adaptive run has no staged chain node on the profile")
@@ -105,12 +106,12 @@ func TestStagedRouting(t *testing.T) {
 		t.Fatalf("staged node records %d stages, want >=1", node.Stages)
 	}
 
-	static, _ := run(Options{Parallel: 4, MinParallelEstimate: -1, MinPartition: 1, NoStaged: true})
+	static, _ := run(Prepare(s.G, q, PlannerOptions{NoReplan: true}), forcePar)
 	if findNode(static, "and", "staged") != nil {
-		t.Fatal("NoStaged run still produced a staged chain node")
+		t.Fatal("NoReplan run still produced a staged chain node")
 	}
 
-	serial, _ := run(Options{Parallel: 1})
+	serial, _ := run(pr, Options{Parallel: 1})
 	if findNode(serial, "and", "staged") != nil {
 		t.Fatal("serial run produced a staged chain node")
 	}
@@ -131,7 +132,7 @@ func TestStagedEmptyPrefixShortCircuit(t *testing.T) {
 	// first, and the chain is long enough to stay armed.
 	q := parser.MustParsePattern(
 		"(?x nosuchpred nosuchvalue) AND (?x knows ?y) AND (?y knows ?z) AND (?z worksAt ?w)")
-	pr := PrepareOpts(s.G, q, PlannerOptions{})
+	pr := Prepare(s.G, q, PlannerOptions{})
 	if !pr.adaptiveArmed() {
 		t.Fatal("test query must arm the adaptive driver")
 	}
@@ -139,7 +140,7 @@ func TestStagedEmptyPrefixShortCircuit(t *testing.T) {
 	prof := obs.NewNode("query", "")
 	o := forcePar
 	o.Prof = prof
-	got, err := EvalPreparedOpts(cs, pr, nil, o)
+	got, err := EvalPrepared(cs, pr, nil, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +195,11 @@ func TestStagedReplanAndBindJoin(t *testing.T) {
 	q := parser.MustParsePattern(fmt.Sprintf(
 		"(?x livesIn %s) AND (?x worksAt %s) AND (?x knows ?y) AND (?y name ?n) AND (?x type Person)",
 		city, org))
-	pr := PrepareOpts(s.G, q, PlannerOptions{})
+	pr := Prepare(s.G, q, PlannerOptions{})
 	prof := obs.NewNode("query", "")
 	o := forcePar
 	o.Prof = prof
-	got, err := EvalPreparedOpts(s.G, pr, nil, o)
+	got, err := EvalPrepared(s.G, pr, nil, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +225,11 @@ func TestStagedReplanAndBindJoin(t *testing.T) {
 	}
 }
 
-// TestStagedDifferentialNoStaged extends the planner differential to
-// the staged/static ablation axis: every planner configuration must
-// return the reference answers with the staged executor enabled and
-// with NoStaged forcing the static parallel tree.
-func TestStagedDifferentialNoStaged(t *testing.T) {
+// TestStagedDifferential extends the planner differential to forced
+// parallel execution: every planner configuration must return the
+// reference answers — the adaptive ones on the staged executor, the
+// greedy and NoReplan ones on the static parallel tree.
+func TestStagedDifferential(t *testing.T) {
 	s := workload.NewSocial(workload.SocialOpts{People: 300})
 	rng := rand.New(rand.NewSource(31))
 	var queries []sparql.Pattern
@@ -241,18 +242,17 @@ func TestStagedDifferentialNoStaged(t *testing.T) {
 	for qi, q := range queries {
 		want := sparql.Eval(s.G, q)
 		for _, cfg := range plannerConfigs {
-			pr := PrepareOpts(s.G, q, cfg.po)
-			for _, noStaged := range []bool{false, true} {
-				o := forcePar
-				o.NoStaged = noStaged
-				got, err := EvalPreparedOpts(s.G, pr, nil, o)
-				if err != nil {
-					t.Fatalf("q%d %s under %s (noStaged=%t): %v", qi, q, cfg.name, noStaged, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("q%d %s under %s (noStaged=%t): %d rows, reference %d",
-						qi, q, cfg.name, noStaged, got.Len(), want.Len())
-				}
+			pr := Prepare(s.G, q, cfg.po)
+			if (cfg.po.Greedy || cfg.po.NoReplan) && pr.adaptiveArmed() {
+				t.Fatalf("q%d under %s armed the chain driver; the static tree is not reached", qi, cfg.name)
+			}
+			got, err := EvalPrepared(s.G, pr, nil, forcePar)
+			if err != nil {
+				t.Fatalf("q%d %s under %s: %v", qi, q, cfg.name, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("q%d %s under %s: %d rows, reference %d",
+					qi, q, cfg.name, got.Len(), want.Len())
 			}
 		}
 	}

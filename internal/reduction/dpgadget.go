@@ -2,6 +2,7 @@ package reduction
 
 import (
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sat"
 	"repro/internal/sparql"
@@ -87,5 +88,6 @@ func (d DPGadget) HoldsFast() bool {
 // package (unify the target with the template, backtrack for a
 // witness).
 func (c ConstructGadget) HoldsFast() bool {
-	return exec.ConstructContains(c.Graph, c.Query, c.Triple)
+	found, _ := exec.ConstructContains(c.Graph, c.Query, c.Triple, nil, plan.Options{})
+	return found
 }

@@ -37,8 +37,8 @@ func BindJoinScan(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, parent *
 // atomic, so a governor trip or injected fault stops every morsel
 // within a stride and the pool drains before the error returns.
 func BindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, workers, minPart int, parent *obs.Node) (*RowSet, error) {
-	o := ParOptions{Workers: workers, MinPartition: minPart}
-	return bindJoinScanPar(g, acc, t, b, newPool(o.workers()-1), o.minPartition(), parent)
+	o := ParOptions{MinPartition: minPart}
+	return bindJoinScanPar(g, acc, t, b, newPool(workers-1), o.minPartition(), parent)
 }
 
 func bindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, po *pool, minPart int, parent *obs.Node) (*RowSet, error) {

@@ -123,8 +123,8 @@ type budgetErr struct{ err error }
 
 // Budget is a query's resource envelope.  The zero limits mean
 // "unlimited"; a nil *Budget is valid everywhere and disables all
-// accounting (every method on a nil receiver returns nil), so legacy
-// entry points simply pass nil.
+// accounting (every method on a nil receiver returns nil), so
+// ungoverned callers simply pass nil.
 //
 // A single Budget may be shared by all workers of one parallel
 // evaluation (see the memory-ordering contract above); sharing one

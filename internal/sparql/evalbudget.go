@@ -6,9 +6,10 @@ import (
 
 // EvalBudget is the reference evaluator Eval under a governor: the
 // same bottom-up semantics over string mappings, with budget charges
-// proportional to the work of each algebra operator.  It exists for
-// the string-engine paths (patterns wider than MaxSchemaVars) so that
-// even the fallback respects deadlines and step limits.
+// proportional to the work of each algebra operator.  It evaluates the
+// patterns wider than MaxSchemaVars, which the row engine refuses
+// (plan.EvalPrepared and views route them here), so that even those
+// respect deadlines and step limits.
 //
 // Charging is coarser than on the row engine: binary operators charge
 // their input cardinalities up front (the nested-loop Join is O(n·m),

@@ -124,7 +124,9 @@ func (s *MappingSet) DiffHash(t *MappingSet) *MappingSet {
 	return out
 }
 
-// LeftJoinHash is LeftJoin with the hash-based primitives.
+// LeftJoinHash is LeftJoin with the hash-based primitives.  The
+// end-to-end benchmark's answer oracle (perfbench/) evaluates OPT with
+// it.
 func (s *MappingSet) LeftJoinHash(t *MappingSet) *MappingSet {
 	return s.JoinHash(t).Union(s.DiffHash(t))
 }

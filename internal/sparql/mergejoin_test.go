@@ -39,8 +39,8 @@ func TestMergeJoinAgreesWithHashJoinQuick(t *testing.T) {
 				}
 				want := sparql.Eval(g, p)
 				var merged, hashed *sparql.MappingSet
-				withMergeJoin(true, func() { merged = sparql.EvalRowEngine(g, p) })
-				withMergeJoin(false, func() { hashed = sparql.EvalRowEngine(g, p) })
+				withMergeJoin(true, func() { merged = evalRows(t, g, p, sparql.ParOptions{}) })
+				withMergeJoin(false, func() { hashed = evalRows(t, g, p, sparql.ParOptions{}) })
 				if !merged.Equal(want) {
 					t.Fatalf("trial %d: merge-enabled engine diverges from reference on\n%s\ngot: %v\nwant:%v",
 						trial, p, merged, want)
@@ -51,11 +51,7 @@ func TestMergeJoinAgreesWithHashJoinQuick(t *testing.T) {
 				}
 				// Parallel engine with the fast path enabled.
 				withMergeJoin(true, func() {
-					rs, ok := sparql.EvalRowsPar(g, p, 4)
-					if !ok {
-						t.Fatalf("trial %d: parallel engine rejected small pattern", trial)
-					}
-					if got := rs.MappingSet(g.Dict()); !got.Equal(want) {
+					if got := evalRows(t, g, p, sparql.ParOptions{Workers: 4}); !got.Equal(want) {
 						t.Fatalf("trial %d: parallel merge-enabled engine diverges on\n%s", trial, p)
 					}
 				})
@@ -96,9 +92,9 @@ func TestMergeJoinTakesFastPath(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := sparql.Eval(g, tc.p)
 			prof := obs.NewNode("query", "")
-			rs, ok, err := sparql.EvalRowsProf(g, tc.p, sparql.NewBudget(context.Background()), prof)
-			if err != nil || !ok {
-				t.Fatalf("eval: ok=%v err=%v", ok, err)
+			rs, err := sparql.EvalRows(g, tc.p, sparql.NewBudget(context.Background()), sparql.ParOptions{Prof: prof})
+			if err != nil {
+				t.Fatalf("eval: %v", err)
 			}
 			if got := rs.MappingSet(g.Dict()); !got.Equal(want) {
 				t.Fatalf("merge path diverges\ngot: %v\nwant:%v", got, want)
@@ -140,9 +136,9 @@ func TestMergeJoinIneligibleShapesFallBack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := sparql.Eval(g, tc.p)
 			prof := obs.NewNode("query", "")
-			rs, ok, err := sparql.EvalRowsProf(g, tc.p, sparql.NewBudget(context.Background()), prof)
-			if err != nil || !ok {
-				t.Fatalf("eval: ok=%v err=%v", ok, err)
+			rs, err := sparql.EvalRows(g, tc.p, sparql.NewBudget(context.Background()), sparql.ParOptions{Prof: prof})
+			if err != nil {
+				t.Fatalf("eval: %v", err)
 			}
 			if got := rs.MappingSet(g.Dict()); !got.Equal(want) {
 				t.Fatalf("fallback diverges\ngot: %v\nwant:%v", got, want)
@@ -185,7 +181,7 @@ func TestMergeJoinThroughMutationAndCompaction(t *testing.T) {
 		}
 		for _, p := range patterns {
 			want := sparql.Eval(g, p)
-			got := sparql.EvalRowEngine(g, p)
+			got := evalRows(t, g, p, sparql.ParOptions{})
 			if !got.Equal(want) {
 				st := g.Stats()
 				t.Fatalf("round %d: merge path diverges (store %+v) on\n%s\ngot: %v\nwant:%v",
@@ -210,9 +206,9 @@ func TestMergeJoinFaultInjection(t *testing.T) {
 	} {
 		want := sparql.Eval(g, p)
 		b := sparql.NewBudget(context.Background())
-		rs, ok, err := sparql.EvalRowsBudget(g, p, b)
-		if err != nil || !ok {
-			t.Fatalf("governed merge eval failed without fault: ok=%v err=%v", ok, err)
+		rs, err := sparql.EvalRows(g, p, b, sparql.ParOptions{})
+		if err != nil {
+			t.Fatalf("governed merge eval failed without fault: %v", err)
 		}
 		if got := rs.MappingSet(g.Dict()); !got.Equal(want) {
 			t.Fatalf("governed merge eval diverges")
@@ -221,9 +217,9 @@ func TestMergeJoinFaultInjection(t *testing.T) {
 		for _, n := range injectionPoints(total, 32) {
 			b2 := sparql.NewBudget(nil)
 			b2.InjectFault(n, errInjected)
-			rs2, ok2, err := sparql.EvalRowsBudget(g, p, b2)
+			rs2, err := sparql.EvalRows(g, p, b2, sparql.ParOptions{})
 			if err == nil {
-				if !ok2 || !rs2.MappingSet(g.Dict()).Equal(want) {
+				if !rs2.MappingSet(g.Dict()).Equal(want) {
 					t.Fatalf("fault@%d/%d: completed with wrong answers", n, total)
 				}
 				continue

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/obs"
@@ -53,7 +52,7 @@ const DefaultMinPartition = 512
 // ParOptions tunes the parallel row engine.
 type ParOptions struct {
 	// Workers is the total worker count, including the calling
-	// goroutine: 0 means runtime.GOMAXPROCS(0), 1 runs serially.
+	// goroutine; 0 or 1 runs the serial engine.
 	Workers int
 	// MinPartition overrides DefaultMinPartition (0 keeps the
 	// default).  Tests set it to 1 to force partitioned operators on
@@ -61,18 +60,11 @@ type ParOptions struct {
 	MinPartition int
 	// Prof, when non-nil, collects an execution profile: one child
 	// node per operator, with pool and partition counters on top of
-	// the serial engine's metrics.  See EvalRowsProf.
+	// the serial engine's metrics.  See EvalRows.
 	Prof *obs.Node
 	// Hints carries the planner's per-node join-strategy decisions
 	// (nil = structural auto behaviour).  See EvalHints.
 	Hints *EvalHints
-}
-
-func (o ParOptions) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 func (o ParOptions) minPartition() int {
@@ -112,52 +104,18 @@ func (p *pool) tryAcquire() bool {
 
 func (p *pool) release() { <-p.sem }
 
-// EvalRowsPar is EvalRows on the parallel engine: ⟦P⟧_G with UNION
-// branches, AND/OPT operands, large joins and NS evaluated across up
-// to workers goroutines (0 = GOMAXPROCS).  ok = false when the
-// pattern exceeds MaxSchemaVars variables.
-func EvalRowsPar(g rdf.Store, p Pattern, workers int) (*RowSet, bool) {
-	rs, ok, err := EvalRowsParOpts(g, p, nil, ParOptions{Workers: workers})
-	if err != nil {
-		return nil, false
-	}
-	return rs, ok
-}
-
-// EvalRowsParBudget is EvalRowsPar under a governor: the single budget
-// is shared by every worker (its counters are atomic), cancellation
-// and limits stop all of them within a stride, and the pool is fully
-// drained before the error returns.
-func EvalRowsParBudget(g rdf.Store, p Pattern, b *Budget, workers int) (*RowSet, bool, error) {
-	return EvalRowsParOpts(g, p, b, ParOptions{Workers: workers})
-}
-
-// EvalRowsParOpts is EvalRowsParBudget with full tuning options.
-func EvalRowsParOpts(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*RowSet, bool, error) {
-	sc, ok := SchemaFor(p)
-	if !ok {
-		return nil, false, nil
-	}
-	if o.workers() <= 1 {
-		rs, err := evalRowsB(g, p, sc, b, o.Prof, o.Hints)
-		if err != nil {
-			return nil, true, err
-		}
-		return rs, true, nil
-	}
-	e := &parEval{
+// newParEval builds the parallel evaluator of one query: a pool of
+// o.Workers-1 extra workers (the caller is worker zero) sharing the
+// query's schema, budget and hints.
+func newParEval(g rdf.Store, sc *VarSchema, b *Budget, o ParOptions) *parEval {
+	return &parEval{
 		g:       g,
 		sc:      sc,
 		b:       b,
-		po:      newPool(o.workers() - 1),
+		po:      newPool(o.Workers - 1),
 		minPart: o.minPartition(),
 		hints:   o.Hints,
 	}
-	rs, err := e.eval(p, o.Prof)
-	if err != nil {
-		return nil, true, err
-	}
-	return rs, true, nil
 }
 
 // parEval is the parallel bottom-up evaluator; it mirrors evalRowsB
@@ -483,23 +441,12 @@ func chunkOf(minPart int) int {
 	return c
 }
 
-// MaximalPar is Maximal on the parallel engine (0 = GOMAXPROCS).
-func (s *RowSet) MaximalPar(workers int) *RowSet {
-	out, _ := s.MaximalParB(nil, workers)
-	return out
-}
-
-// MaximalParB is MaximalB sharded by mask bucket: rows group by
+// maximalParB is MaximalB sharded by mask bucket: rows group by
 // presence mask, each bucket's subsumption hunt (hash the superset
 // buckets' restrictions, probe the bucket's rows) is independent of
 // every other bucket's, so buckets spread across workers.  A final
 // cross-shard sweep in row order drops the subsumed rows, keeping the
 // output order identical to the serial algorithm's.
-func (s *RowSet) MaximalParB(bud *Budget, workers int) (*RowSet, error) {
-	o := ParOptions{Workers: workers}
-	return s.maximalParB(bud, newPool(o.workers()-1), DefaultMinPartition, nil)
-}
-
 func (s *RowSet) maximalParB(bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
 	if po == nil || s.Len() < minPart {
 		return s.MaximalB(bud)

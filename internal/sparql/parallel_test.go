@@ -40,16 +40,13 @@ func TestEvalRowsParAgreesWithSerialQuick(t *testing.T) {
 					p = sparql.Union{L: sparql.NS{P: p}, R: sparql.NS{P: q}}
 				}
 				want := sparql.Eval(g, p)
-				serial, ok := sparql.EvalRows(g, p)
-				if !ok {
-					t.Fatal("schema rejected small pattern")
+				serial, err := sparql.EvalRows(g, p, nil, sparql.ParOptions{})
+				if err != nil {
+					t.Fatalf("trial %d: serial eval failed: %v", trial, err)
 				}
-				par, ok, err := sparql.EvalRowsParOpts(g, p, nil, parTestOpts)
+				par, err := sparql.EvalRows(g, p, nil, parTestOpts)
 				if err != nil {
 					t.Fatalf("trial %d: parallel eval failed: %v", trial, err)
-				}
-				if !ok {
-					t.Fatal("parallel engine rejected a schema the serial engine accepted")
 				}
 				d := g.Dict()
 				if got := par.MappingSet(d); !got.Equal(want) {
@@ -230,7 +227,7 @@ func TestParallelFaultInjectionSweep(t *testing.T) {
 			// total varies slightly with scheduling (partition merges),
 			// so the invariant below holds for every injection point.
 			probe := sparql.NewBudget(context.Background()).WithStride(1)
-			if _, _, err := sparql.EvalRowsParOpts(g, p, probe, parTestOpts); err != nil {
+			if _, err := sparql.EvalRows(g, p, probe, parTestOpts); err != nil {
 				t.Fatalf("probe run failed: %v", err)
 			}
 			total := probe.Steps()
@@ -242,10 +239,7 @@ func TestParallelFaultInjectionSweep(t *testing.T) {
 			for at := int64(0); at <= total+1; at += stride {
 				b := sparql.NewBudget(context.Background()).WithStride(1)
 				b.InjectFault(at, sentinel)
-				rs, ok, err := sparql.EvalRowsParOpts(g, p, b, parTestOpts)
-				if !ok {
-					t.Fatal("schema rejected")
-				}
+				rs, err := sparql.EvalRows(g, p, b, parTestOpts)
 				if err != nil {
 					faulted = true
 					if !errors.Is(err, sentinel) {
@@ -288,11 +282,8 @@ func TestParallelDeadlineDrains(t *testing.T) {
 	defer cancel()
 	b := sparql.NewBudget(ctx).WithMaxBytes(1 << 30)
 	start := time.Now()
-	_, ok, err := sparql.EvalRowsParOpts(g, p, b, parTestOpts)
+	_, err := sparql.EvalRows(g, p, b, parTestOpts)
 	elapsed := time.Since(start)
-	if !ok {
-		t.Fatal("schema rejected")
-	}
 	if err == nil {
 		t.Fatal("a 9M-row join finished under a 30ms deadline?")
 	}
@@ -317,10 +308,7 @@ func TestParallelSharedBudgetMemoryLimit(t *testing.T) {
 		R: sparql.TP(sparql.V("P"), sparql.I("works_at"), sparql.V("U")),
 	}
 	b := sparql.NewBudget(context.Background()).WithMaxBytes(4096)
-	_, ok, err := sparql.EvalRowsParOpts(g, p, b, parTestOpts)
-	if !ok {
-		t.Fatal("schema rejected")
-	}
+	_, err := sparql.EvalRows(g, p, b, parTestOpts)
 	var be sparql.ErrBudgetExceeded
 	if !errors.As(err, &be) || be.Kind != sparql.BudgetMemory {
 		t.Fatalf("got %v, want ErrBudgetExceeded{memory}", err)

@@ -111,12 +111,9 @@ func TestProfileDifferentialSerial(t *testing.T) {
 			for trial := 0; trial < 100; trial++ {
 				g, p := profileTrial(rng, fc.ops, fc.ns)
 				prof := obs.NewNode("query", "")
-				rs, ok, err := sparql.EvalRowsProf(g, p, sparql.NewBudget(context.Background()), prof)
+				rs, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), sparql.ParOptions{Prof: prof})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
-				}
-				if !ok {
-					continue // schema too wide for the row engine
 				}
 				if want := sparql.Eval(g, p); !rs.MappingSet(g.Dict()).Equal(want) {
 					t.Fatalf("trial %d: profiled eval diverges on\n%s", trial, p)
@@ -145,12 +142,9 @@ func TestProfileDifferentialParallel(t *testing.T) {
 				g, p := profileTrial(rng, fc.ops, fc.ns)
 				prof := obs.NewNode("query", "")
 				opts := sparql.ParOptions{Workers: 4, MinPartition: 1, Prof: prof}
-				rs, ok, err := sparql.EvalRowsParOpts(g, p, sparql.NewBudget(context.Background()), opts)
+				rs, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), opts)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
-				}
-				if !ok {
-					continue
 				}
 				if want := sparql.Eval(g, p); !rs.MappingSet(g.Dict()).Equal(want) {
 					t.Fatalf("trial %d: profiled parallel eval diverges on\n%s", trial, p)
@@ -178,9 +172,9 @@ func TestProfileDedupHits(t *testing.T) {
 	tp := sparql.TriplePattern{S: sparql.V("x"), P: sparql.I("p"), O: sparql.V("y")}
 	p := sparql.Union{L: tp, R: tp}
 	prof := obs.NewNode("query", "")
-	rs, ok, err := sparql.EvalRowsProf(g, p, sparql.NewBudget(context.Background()), prof)
-	if err != nil || !ok {
-		t.Fatalf("eval: ok=%v err=%v", ok, err)
+	rs, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), sparql.ParOptions{Prof: prof})
+	if err != nil {
+		t.Fatalf("eval: %v", err)
 	}
 	if rs.Len() != 3 {
 		t.Fatalf("union of identical branches: %d rows, want 3", rs.Len())

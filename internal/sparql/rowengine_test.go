@@ -1,6 +1,7 @@
 package sparql_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -174,7 +175,7 @@ func TestEvalRowsAgreesWithEvalQuick(t *testing.T) {
 					p = sparql.Union{L: sparql.NS{P: p}, R: sparql.NS{P: q}}
 				}
 				want := sparql.Eval(g, p)
-				got := sparql.EvalRowEngine(g, p)
+				got := evalRows(t, g, p, sparql.ParOptions{})
 				if !got.Equal(want) {
 					t.Fatalf("trial %d: row engine diverges on\n%s\ngot: %v\nwant:%v",
 						trial, p, got, want)
@@ -309,7 +310,7 @@ func TestRepeatedVarTriple(t *testing.T) {
 			if got := sparql.Eval(g, tc.p); !got.Equal(tc.want) {
 				t.Errorf("string engine: got %v want %v", got, tc.want)
 			}
-			if got := sparql.EvalRowEngine(g, tc.p); !got.Equal(tc.want) {
+			if got := evalRows(t, g, tc.p, sparql.ParOptions{}); !got.Equal(tc.want) {
 				t.Errorf("row engine: got %v want %v", got, tc.want)
 			}
 			sc, _ := sparql.SchemaFor(tc.p)
@@ -326,7 +327,21 @@ func TestRepeatedVarTriple(t *testing.T) {
 	}
 }
 
-// TestSchemaWidthLimit checks the >MaxSchemaVars fallback path.
+// evalRows runs the row engine and decodes its answers, failing the
+// test on any error.
+func evalRows(t testing.TB, g rdf.Store, p sparql.Pattern, o sparql.ParOptions) *sparql.MappingSet {
+	t.Helper()
+	rs, err := sparql.EvalRows(g, p, nil, o)
+	if err != nil {
+		t.Fatalf("row engine failed on %s: %v", p, err)
+	}
+	return rs.MappingSet(g.Dict())
+}
+
+// TestSchemaWidthLimit checks that the row engine refuses patterns
+// wider than MaxSchemaVars with its typed error (the planned evaluator
+// routes them to the reference evaluator; see internal/exec's
+// TestWideSchemaMatchesReference).
 func TestSchemaWidthLimit(t *testing.T) {
 	wide := make([]sparql.Var, sparql.MaxSchemaVars+1)
 	for i := range wide {
@@ -335,19 +350,14 @@ func TestSchemaWidthLimit(t *testing.T) {
 	if _, ok := sparql.NewVarSchema(wide); ok {
 		t.Fatalf("schema accepted %d variables", len(wide))
 	}
-	// Build a chain pattern with 65 variables; EvalRowEngine must fall
-	// back to Eval and still return the right answers.
+	// Build a chain pattern with 65 variables; EvalRows must refuse it.
 	g := rdf.NewGraph()
 	g.Add("a", "p", "a")
 	var p sparql.Pattern = sparql.TP(sparql.V(wide[0]), sparql.I("p"), sparql.V(wide[0]))
 	for _, v := range wide[1:] {
 		p = sparql.And{L: p, R: sparql.TP(sparql.V(v), sparql.I("p"), sparql.V(v))}
 	}
-	if _, ok := sparql.EvalRows(g, p); ok {
-		t.Fatal("EvalRows accepted a pattern wider than MaxSchemaVars")
-	}
-	want := sparql.Eval(g, p)
-	if got := sparql.EvalRowEngine(g, p); !got.Equal(want) {
-		t.Fatalf("wide fallback diverges: got %v want %v", got, want)
+	if _, err := sparql.EvalRows(g, p, nil, sparql.ParOptions{}); !errors.Is(err, sparql.ErrSchemaTooWide) {
+		t.Fatalf("EvalRows on a pattern wider than MaxSchemaVars: err = %v, want ErrSchemaTooWide", err)
 	}
 }

@@ -8,53 +8,35 @@ import (
 	"repro/internal/rdf"
 )
 
-// EvalRows computes ⟦P⟧_G with the ID-native row engine: one VarSchema
-// for the whole query, dictionary-encoded rows throughout, and the
-// mask-bucketed NS algorithm.  ok = false when the pattern exceeds
-// MaxSchemaVars variables (or is malformed); callers then fall back to
-// the string algebra.
+// EvalRows computes ⟦P⟧_G with the ID-native row engine: one
+// VarSchema for the whole query, dictionary-encoded rows throughout,
+// and the mask-bucketed NS algorithm.  It is the single row-engine
+// entry point: with o.Workers <= 1 it runs the serial evaluator, and
+// otherwise the parallel one (see parallel.go).
 //
-// The result decodes to exactly Eval(g, p) (differentially tested);
-// Eval stays the reference implementation and oracle.
-func EvalRows(g rdf.Store, p Pattern) (*RowSet, bool) {
-	rs, ok, err := EvalRowsBudget(g, p, nil)
-	if err != nil {
-		return nil, false
-	}
-	return rs, ok
-}
-
-// EvalRowsBudget is EvalRows under a governor: the budget is charged
-// per triple-index probe, join candidate and materialized row, and the
-// evaluation aborts with the budget's typed error (ErrCanceled,
-// ErrBudgetExceeded) as soon as the governor trips.  Malformed plans
-// surface as ErrUnsupportedPattern instead of panicking.
-func EvalRowsBudget(g rdf.Store, p Pattern, b *Budget) (*RowSet, bool, error) {
-	return EvalRowsProf(g, p, b, nil)
-}
-
-// EvalRowsProf is EvalRowsBudget with an execution profile: when prof
-// is non-nil, evaluation attaches one child node per operator of the
-// pattern tree under it, recording wall time, rows in/out, dedup hits,
-// NS pruning per mask bucket, and budget consumption.  A nil prof is
-// exactly EvalRowsBudget — the instrumentation costs one nil check per
-// operator node, nothing per row.
-func EvalRowsProf(g rdf.Store, p Pattern, b *Budget, prof *obs.Node) (*RowSet, bool, error) {
-	return EvalRowsHints(g, p, b, prof, nil)
-}
-
-// EvalRowsHints is EvalRowsProf with planner join-strategy hints (see
-// EvalHints); nil hints keep the structural auto behaviour.
-func EvalRowsHints(g rdf.Store, p Pattern, b *Budget, prof *obs.Node, h *EvalHints) (*RowSet, bool, error) {
+// The budget is charged per triple-index probe, join candidate and
+// materialized row, and evaluation aborts with the budget's typed
+// error (ErrCanceled, ErrBudgetExceeded) as soon as the governor
+// trips; a nil budget disables accounting.  When o.Prof is non-nil,
+// evaluation attaches one child node per operator of the pattern tree
+// under it, recording wall time, rows in/out, dedup hits, NS pruning
+// per mask bucket, and budget consumption; a nil Prof costs one nil
+// check per operator node, nothing per row.  o.Hints carries the
+// planner's join-strategy choices (nil = structural auto behaviour).
+//
+// A pattern wider than MaxSchemaVars fails with ErrSchemaTooWide and a
+// malformed one with ErrUnsupportedPattern.  The result decodes to
+// exactly Eval(g, p) (differentially tested); Eval stays the reference
+// implementation and oracle.
+func EvalRows(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*RowSet, error) {
 	sc, ok := SchemaFor(p)
 	if !ok {
-		return nil, false, nil
+		return nil, ErrSchemaTooWide
 	}
-	rs, err := evalRowsB(g, p, sc, b, prof, h)
-	if err != nil {
-		return nil, true, err
+	if o.Workers <= 1 {
+		return evalRowsB(g, p, sc, b, o.Prof, o.Hints)
 	}
-	return rs, true, nil
+	return newParEval(g, sc, b, o).eval(p, o.Prof)
 }
 
 // opName maps a pattern node to its profile operator name and detail.
@@ -140,17 +122,6 @@ func recordNS(node *obs.Node, in, out *RowSet) {
 	for m, b := range buckets {
 		node.AddNSBucket(m, b.c, b.s)
 	}
-}
-
-// EvalRowEngine evaluates with the row engine and decodes at the
-// boundary, falling back to the reference evaluator for patterns wider
-// than MaxSchemaVars.
-func EvalRowEngine(g rdf.Store, p Pattern) *MappingSet {
-	rs, ok := EvalRows(g, p)
-	if !ok {
-		return Eval(g, p)
-	}
-	return rs.MappingSet(g.Dict())
 }
 
 // evalRowsB is the bottom-up evaluator over rows; every sub-result uses

@@ -1,15 +1,20 @@
 package sparql
 
 import (
+	"errors"
 	"sort"
 
 	"repro/internal/rdf"
 )
 
 // MaxSchemaVars is the widest variable schema the row engine supports:
-// the presence bitset of a Row is a single machine word.  Queries with
-// more variables fall back to the string-based algebra.
+// the presence bitset of a Row is a single machine word.  The planned
+// evaluator sends wider queries to the reference evaluator.
 const MaxSchemaVars = 64
+
+// ErrSchemaTooWide is the row engine's refusal of a pattern with more
+// than MaxSchemaVars variables.
+var ErrSchemaTooWide = errors.New("sparql: pattern has more variables than the row engine supports")
 
 // VarSchema assigns the variables of one query dense slot indices, so
 // that a solution mapping can be laid out as a fixed-width row of

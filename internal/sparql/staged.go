@@ -19,25 +19,13 @@ type StagedExec struct {
 	e *parEval
 }
 
-// NewStagedExec builds the handle for pattern p.  ok = false when p
-// exceeds MaxSchemaVars (the caller falls back like the other row
-// entry points).  Workers counts the calling goroutine; 1 degrades
-// every stage to the serial operators (nil pool), which the plan
-// package uses only in tests — production serial chains run the
-// serial adaptive executor instead.
-func NewStagedExec(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*StagedExec, bool) {
-	sc, ok := SchemaFor(p)
-	if !ok {
-		return nil, false
-	}
-	return &StagedExec{e: &parEval{
-		g:       g,
-		sc:      sc,
-		b:       b,
-		po:      newPool(o.workers() - 1),
-		minPart: o.minPartition(),
-		hints:   o.Hints,
-	}}, true
+// NewStagedExec builds the handle for a query under schema sc (see
+// SchemaFor).  Workers counts the calling goroutine; 1 degrades every
+// stage to the serial operators (nil pool), which the plan package
+// uses only in tests — production serial chains run the serial
+// adaptive executor instead.
+func NewStagedExec(g rdf.Store, sc *VarSchema, b *Budget, o ParOptions) *StagedExec {
+	return &StagedExec{e: newParEval(g, sc, b, o)}
 }
 
 // Schema returns the query-wide schema the handle evaluates under.

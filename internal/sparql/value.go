@@ -3,11 +3,22 @@
 // and Closed Worlds" (PODS 2016): mappings and the mapping algebra
 // (Section 2), graph patterns with AND, UNION, OPT, FILTER and SELECT,
 // the not-subsumed operator NS (Section 5.1), CONSTRUCT queries
-// (Section 6), and a bottom-up evaluator for all of them.
+// (Section 6), and two evaluators for all of them:
+//
+//   - Eval (and its governed twin EvalBudget) is the reference
+//     evaluator over string mappings, a direct transcription of the
+//     semantics.  It is the oracle every engine configuration is
+//     differentially tested against, and it evaluates the rare
+//     patterns wider than MaxSchemaVars.
+//   - EvalRows is the production row engine over dictionary-encoded
+//     rows, serial or parallel (ParOptions.Workers).  The planner
+//     (internal/plan) drives it; callers outside the engine reach it
+//     through plan.EvalPrepared or exec.EvalCompiled.
 package sparql
 
 import (
 	"strings"
+	"unicode"
 
 	"repro/internal/rdf"
 )
@@ -83,7 +94,10 @@ func BareIRISafe(iri rdf.IRI) bool {
 	}
 	for _, r := range s {
 		switch r {
-		case '(', ')', '{', '}', ',', '<', '>', '?', '=', '!', '&', '|', '#', ' ', '\t', '\n', '\r':
+		case '(', ')', '{', '}', ',', '<', '>', '?', '=', '!', '&', '|', '#':
+			return false
+		}
+		if unicode.IsSpace(r) { // the lexer splits words at any Unicode space
 			return false
 		}
 	}

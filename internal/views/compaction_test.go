@@ -38,7 +38,7 @@ func TestInsertUnwindThroughCompaction(t *testing.T) {
 
 	control := newView()
 	b := sparql.NewBudget(context.Background())
-	if _, err := control.InsertBudget(b, delta...); err != nil {
+	if _, err := control.Insert(b, nil, delta...); err != nil {
 		t.Fatalf("governed insert failed without fault: %v", err)
 	}
 	total := b.Steps()
@@ -54,7 +54,7 @@ func TestInsertUnwindThroughCompaction(t *testing.T) {
 
 		fb := sparql.NewBudget(nil)
 		fb.InjectFault(n, errInjectedView)
-		if _, err := v.InsertBudget(fb, delta...); !errors.Is(err, errInjectedView) {
+		if _, err := v.Insert(fb, nil, delta...); !errors.Is(err, errInjectedView) {
 			t.Fatalf("fault@%d/%d: err = %v, want injected sentinel", n, total, err)
 		}
 		if !v.Base().Equal(baseBefore) {
@@ -64,7 +64,7 @@ func TestInsertUnwindThroughCompaction(t *testing.T) {
 		if !v.Graph().Equal(outBefore) {
 			t.Fatalf("fault@%d: output changed on aborted insert", n)
 		}
-		if _, err := v.InsertBudget(nil, delta...); err != nil {
+		if _, err := v.Insert(nil, nil, delta...); err != nil {
 			t.Fatalf("fault@%d: retry failed: %v", n, err)
 		}
 		if !v.Base().Equal(control.Base()) || !v.Graph().Equal(control.Graph()) {
@@ -94,7 +94,7 @@ func TestCompactionInterleavesWithMaintenance(t *testing.T) {
 	}
 	g := v.Base()                     // New clones its argument; reach the live base
 	g.SetCompactionThreshold(1 << 30) // manual compaction only
-	v.Insert(governedDelta()...)
+	mustInsert(t, v, governedDelta()...)
 	if g.Stats().OverlayAdds == 0 {
 		t.Fatal("expected a live overlay with auto-compaction disabled")
 	}
@@ -113,7 +113,7 @@ func TestCompactionInterleavesWithMaintenance(t *testing.T) {
 		t.Fatalf("view contents wrong after compaction:\n%s", v.Graph())
 	}
 	// Another insert after compaction still maintains incrementally.
-	v.Insert(rdf.T("dan", "works_at", "puc"))
+	mustInsert(t, v, rdf.T("dan", "works_at", "puc"))
 	if !v.Graph().Contains("dan", "reaches", "chile") {
 		t.Fatalf("post-compaction insert incomplete:\n%s", v.Graph())
 	}

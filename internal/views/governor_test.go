@@ -45,7 +45,7 @@ func TestInsertBudgetAtomicUnwind(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := sparql.NewBudget(context.Background())
-	if _, err := control.InsertBudget(b, delta...); err != nil {
+	if _, err := control.Insert(b, nil, delta...); err != nil {
 		t.Fatalf("governed insert failed without fault: %v", err)
 	}
 	total := b.Steps()
@@ -63,7 +63,7 @@ func TestInsertBudgetAtomicUnwind(t *testing.T) {
 
 		b := sparql.NewBudget(nil)
 		b.InjectFault(n, errInjectedView)
-		added, err := v.InsertBudget(b, delta...)
+		added, err := v.Insert(b, nil, delta...)
 		if !errors.Is(err, errInjectedView) {
 			t.Fatalf("fault@%d/%d: err = %v, want injected sentinel", n, total, err)
 		}
@@ -79,7 +79,7 @@ func TestInsertBudgetAtomicUnwind(t *testing.T) {
 				n, outBefore, v.Graph())
 		}
 		// Retrying without the fault converges to the control state.
-		if _, err := v.InsertBudget(nil, delta...); err != nil {
+		if _, err := v.Insert(nil, nil, delta...); err != nil {
 			t.Fatalf("fault@%d: retry failed: %v", n, err)
 		}
 		if !v.Base().Equal(control.Base()) || !v.Graph().Equal(control.Graph()) {
@@ -99,7 +99,7 @@ func TestInsertCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = v.InsertCtx(ctx, governedDelta()...)
+	_, err = v.Insert(sparql.NewBudget(ctx), nil, governedDelta()...)
 	if !errors.Is(err, sparql.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled/context.Canceled", err)
 	}
@@ -108,7 +108,7 @@ func TestInsertCtxCanceled(t *testing.T) {
 			v.Base().Len(), v.Graph().Len())
 	}
 	// The same insert with a live context succeeds.
-	if _, err := v.InsertCtx(context.Background(), governedDelta()...); err != nil {
+	if _, err := v.Insert(sparql.NewBudget(context.Background()), nil, governedDelta()...); err != nil {
 		t.Fatal(err)
 	}
 	if !v.Graph().Contains("ana", "reaches", "chile") {
@@ -144,7 +144,7 @@ func TestInsertBudgetRandomizedUnwind(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := sparql.NewBudget(context.Background())
-		if _, err := control.InsertBudget(b, delta...); err != nil {
+		if _, err := control.Insert(b, nil, delta...); err != nil {
 			t.Fatalf("trial %d: governed insert failed: %v", trial, err)
 		}
 		total := b.Steps()
@@ -161,13 +161,13 @@ func TestInsertBudgetRandomizedUnwind(t *testing.T) {
 			outBefore := rdf.CloneStore(v.Graph())
 			fb := sparql.NewBudget(nil)
 			fb.InjectFault(n, errInjectedView)
-			if _, err := v.InsertBudget(fb, delta...); !errors.Is(err, errInjectedView) {
+			if _, err := v.Insert(fb, nil, delta...); !errors.Is(err, errInjectedView) {
 				t.Fatalf("trial %d fault@%d: err = %v", trial, n, err)
 			}
 			if !v.Base().Equal(baseBefore) || !v.Graph().Equal(outBefore) {
 				t.Fatalf("trial %d fault@%d: state not rolled back", trial, n)
 			}
-			if _, err := v.InsertBudget(nil, delta...); err != nil {
+			if _, err := v.Insert(nil, nil, delta...); err != nil {
 				t.Fatalf("trial %d fault@%d: retry failed: %v", trial, n, err)
 			}
 			if !v.Graph().Equal(control.Graph()) {

@@ -26,11 +26,13 @@
 // slice of rdf.IDTriple in the base dictionary's ID space, Δ⟦t⟧ scans
 // it with sparql.EvalTripleDelta, and the ⟦·⟧_G probes seed a
 // sparql.Searcher with each delta row.  WHERE clauses wider than
-// sparql.MaxSchemaVars keep the original string-mapping path.
+// sparql.MaxSchemaVars do not fit the row runtime; for them the delta
+// answer set is ⟦WHERE⟧ recomputed on the updated base by the
+// reference evaluator — every genuinely new answer is in it and every
+// answer in it is valid, so it extends the view just as well.
 package views
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -46,7 +48,7 @@ type View struct {
 	query sparql.ConstructQuery
 	base  rdf.Store
 	out   rdf.Store
-	sc    *sparql.VarSchema // nil: WHERE wider than MaxSchemaVars, string fallback
+	sc    *sparql.VarSchema // nil: WHERE wider than MaxSchemaVars, recomputed per insert
 }
 
 // New materializes a CONSTRUCT[AUF] view over a snapshot of the base
@@ -60,8 +62,8 @@ func New(q sparql.ConstructQuery, base rdf.Store) (*View, error) {
 
 // Over materializes a CONSTRUCT[AUF] view directly over base, without
 // cloning it.  The view adopts the store: after Over returns, base
-// must be mutated exclusively through the view's Insert methods, which
-// keep (base, out) consistent and stage each insert as one atomic
+// must be mutated exclusively through the view's Insert, which keeps
+// (base, out) consistent and stages each insert as one atomic
 // durability batch — on a durable backend, a rolled-back insert leaves
 // no committed WAL records.
 func Over(q sparql.ConstructQuery, base rdf.Store) (*View, error) {
@@ -92,37 +94,18 @@ func (v *View) Graph() rdf.Store { return v.out }
 func (v *View) Base() rdf.Store { return v.base }
 
 // Insert adds triples to the base graph and incrementally extends the
-// output.  It returns the number of new output triples.  Ungoverned
-// legacy entry point; servers should use InsertCtx or InsertBudget.
-func (v *View) Insert(triples ...rdf.Triple) int {
-	added, err := v.InsertBudget(nil, triples...)
-	if err != nil {
-		return 0
-	}
-	return added
-}
-
-// InsertCtx is Insert bounded by a context: if the delta evaluation is
-// canceled, the insert is rolled back (see InsertBudget).
-func (v *View) InsertCtx(ctx context.Context, triples ...rdf.Triple) (int, error) {
-	return v.InsertBudget(sparql.NewBudget(ctx), triples...)
-}
-
-// InsertBudget is Insert under a resource governor.  The operation is
-// atomic with respect to failure: if the governor aborts the delta
-// evaluation, the freshly inserted base triples are removed again and
-// the output graph is left untouched, so the view never holds a
-// half-maintained state.  The returned error is the budget's typed
-// error.
-func (v *View) InsertBudget(b *sparql.Budget, triples ...rdf.Triple) (int, error) {
-	return v.InsertObserved(b, nil, triples...)
-}
-
-// InsertObserved is InsertBudget with an execution profile: when prof
-// is non-nil, a "view-insert" node is attached under it recording the
-// delta size (rows in), the new output triples (rows out), wall time,
-// and budget consumption of the delta evaluation.
-func (v *View) InsertObserved(b *sparql.Budget, prof *obs.Node, triples ...rdf.Triple) (int, error) {
+// output, returning the number of new output triples.
+//
+// The budget b governs the delta evaluation (nil disables
+// accounting), and the operation is atomic with respect to failure:
+// if the governor aborts, the freshly inserted base triples are
+// removed again and the output graph is left untouched, so the view
+// never holds a half-maintained state.  The returned error is the
+// budget's typed error.  When prof is non-nil, a "view-insert" node is
+// attached under it recording the delta size (rows in), the new output
+// triples (rows out), wall time, and budget consumption of the delta
+// evaluation.
+func (v *View) Insert(b *sparql.Budget, prof *obs.Node, triples ...rdf.Triple) (int, error) {
 	if err := b.Err(); err != nil {
 		return 0, err // a poisoned budget fails before mutating the base
 	}
@@ -200,17 +183,14 @@ func (v *View) InsertObserved(b *sparql.Budget, prof *obs.Node, triples ...rdf.T
 	return added, nil
 }
 
-// deltaAnswers computes the delta answer set on the row runtime, or on
-// the string fallback for WHERE clauses wider than MaxSchemaVars.
+// deltaAnswers computes the delta answer set on the row runtime, or,
+// for WHERE clauses wider than MaxSchemaVars, recomputes ⟦WHERE⟧ on the
+// updated base.
 func (v *View) deltaAnswers(delta []rdf.Triple, b *sparql.Budget) (*sparql.MappingSet, error) {
-	if v.sc != nil {
-		return v.deltaEvalRows(delta, b)
+	if v.sc == nil {
+		return sparql.EvalBudget(v.base, v.query.Where, b)
 	}
-	dg := rdf.NewGraph()
-	for _, t := range delta {
-		dg.AddTriple(t)
-	}
-	return deltaEval(v.base, dg, v.query.Where, b)
+	return v.deltaEvalRows(delta, b)
 }
 
 // deltaEvalRows runs the delta rules on the row runtime.  AddTriple has
@@ -356,75 +336,6 @@ func (v *View) probeChunked(small *sparql.RowSet, p sparql.Pattern, b *sparql.Bu
 	for _, part := range outs[1:] {
 		for i := 0; i < part.Len(); i++ {
 			out.AddRow(part.Row(i))
-		}
-	}
-	return out, nil
-}
-
-// deltaEval returns a set Ω with ⟦P⟧_{G} ∖ ⟦P⟧_{G∖Δ} ⊆ Ω ⊆ ⟦P⟧_G,
-// where g is the already-updated base graph: every genuinely new
-// answer, and only valid answers.  Since the output is a set, the AND
-// rule may count an all-new join twice; deduplication makes that
-// harmless, and probing the updated graph on both sides avoids keeping
-// (or cloning) the pre-insert graph.
-func deltaEval(g, delta rdf.Store, p sparql.Pattern, b *sparql.Budget) (*sparql.MappingSet, error) {
-	switch q := p.(type) {
-	case sparql.TriplePattern:
-		return sparql.EvalBudget(delta, q, b)
-	case sparql.And:
-		// Index-nested-loop delta join: the delta side is small, so the
-		// other side is probed with each delta mapping as a constraint
-		// (sparql.EvalCompatible turns bound variables into index
-		// lookups) instead of being evaluated in full.
-		dl, err := deltaEval(g, delta, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		l, err := joinConstrained(g, dl, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		dr, err := deltaEval(g, delta, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := joinConstrained(g, dr, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		return l.Union(r), nil
-	case sparql.Union:
-		l, err := deltaEval(g, delta, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := deltaEval(g, delta, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		return l.Union(r), nil
-	case sparql.Filter:
-		inner, err := deltaEval(g, delta, q.P, b)
-		if err != nil {
-			return nil, err
-		}
-		return inner.Filter(q.Cond), nil
-	default:
-		return nil, sparql.ErrUnsupportedPattern{Pattern: p}
-	}
-}
-
-// joinConstrained computes small ⋈ ⟦p⟧_g by probing p with each
-// mapping of small as a compatibility constraint.
-func joinConstrained(g rdf.Store, small *sparql.MappingSet, p sparql.Pattern, b *sparql.Budget) (*sparql.MappingSet, error) {
-	out := sparql.NewMappingSet()
-	for _, mu := range small.Mappings() {
-		nus, err := sparql.EvalCompatibleBudget(g, p, mu, b)
-		if err != nil {
-			return nil, err
-		}
-		for _, nu := range nus.Mappings() {
-			out.Add(mu.Merge(nu))
 		}
 	}
 	return out, nil

@@ -41,7 +41,7 @@ func TestViewOverDurableUnwindLeavesNoWALRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := sparql.NewBudget(nil)
-	if _, err := control.InsertBudget(b, delta...); err != nil {
+	if _, err := control.Insert(b, nil, delta...); err != nil {
 		t.Fatalf("governed insert failed without fault: %v", err)
 	}
 	control.Base().Close()
@@ -61,7 +61,7 @@ func TestViewOverDurableUnwindLeavesNoWALRecords(t *testing.T) {
 
 		fb := sparql.NewBudget(nil)
 		fb.InjectFault(n, errInjectedView)
-		if _, err := v.InsertBudget(fb, delta...); !errors.Is(err, errInjectedView) {
+		if _, err := v.Insert(fb, nil, delta...); !errors.Is(err, errInjectedView) {
 			t.Fatalf("fault@%d/%d: err = %v, want injected sentinel", n, total, err)
 		}
 		if !v.Base().Equal(want) {
@@ -98,7 +98,7 @@ func TestViewOverDurableCommitPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	added, err := v.InsertBudget(nil, governedDelta()...)
+	added, err := v.Insert(nil, nil, governedDelta()...)
 	if err != nil {
 		t.Fatal(err)
 	}

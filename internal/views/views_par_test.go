@@ -47,7 +47,7 @@ func TestInsertLargeDeltaParallelAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range delta {
-		serial.Insert(tr)
+		mustInsert(t, serial, tr)
 	}
 
 	prev := runtime.GOMAXPROCS(4)
@@ -56,7 +56,7 @@ func TestInsertLargeDeltaParallelAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	added, err := par.InsertBudget(sparql.NewBudget(context.Background()), delta...)
+	added, err := par.Insert(sparql.NewBudget(context.Background()), nil, delta...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestInsertLargeDeltaParallelUnwind(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := sparql.NewBudget(context.Background())
-	if _, err := control.InsertBudget(b, delta...); err != nil {
+	if _, err := control.Insert(b, nil, delta...); err != nil {
 		t.Fatalf("governed insert failed without fault: %v", err)
 	}
 	total := b.Steps()
@@ -106,7 +106,7 @@ func TestInsertLargeDeltaParallelUnwind(t *testing.T) {
 		outBefore := rdf.CloneStore(v.Graph())
 		fb := sparql.NewBudget(nil)
 		fb.InjectFault(n, errInjectedView)
-		added, err := v.InsertBudget(fb, delta...)
+		added, err := v.Insert(fb, nil, delta...)
 		if !errors.Is(err, errInjectedView) {
 			t.Fatalf("fault@%d/%d: err = %v, want injected sentinel", n, total, err)
 		}

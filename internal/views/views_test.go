@@ -42,14 +42,14 @@ func TestViewBasics(t *testing.T) {
 		t.Fatal("view base not snapshotted")
 	}
 	// Inserting through the view extends the output.
-	if added := v.Insert(rdf.T("ana", "born", "chile")); added != 1 {
+	if added := mustInsert(t, v, rdf.T("ana", "born", "chile")); added != 1 {
 		t.Fatalf("added = %d", added)
 	}
 	if !v.Graph().Contains("ana", "chilean", "yes") {
 		t.Fatal("incremental triple missing")
 	}
 	// Re-inserting is a no-op.
-	if added := v.Insert(rdf.T("ana", "born", "chile")); added != 0 {
+	if added := mustInsert(t, v, rdf.T("ana", "born", "chile")); added != 0 {
 		t.Fatal("duplicate insert produced output")
 	}
 }
@@ -63,16 +63,16 @@ func TestViewJoinAcrossDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Insert(rdf.T("ana", "works_at", "puc"))
+	mustInsert(t, v, rdf.T("ana", "works_at", "puc"))
 	if v.Graph().Len() != 0 {
 		t.Fatal("half a join produced output")
 	}
-	v.Insert(rdf.T("puc", "located_in", "chile"))
+	mustInsert(t, v, rdf.T("puc", "located_in", "chile"))
 	if !v.Graph().Contains("ana", "works_in", "chile") {
 		t.Fatalf("join across deltas missed:\n%s", v.Graph())
 	}
 	// Both sides within one delta.
-	v.Insert(rdf.T("bob", "works_at", "uc"), rdf.T("uc", "located_in", "peru"))
+	mustInsert(t, v, rdf.T("bob", "works_at", "uc"), rdf.T("uc", "located_in", "peru"))
 	if !v.Graph().Contains("bob", "works_in", "peru") {
 		t.Fatalf("join within one delta missed:\n%s", v.Graph())
 	}
@@ -103,7 +103,7 @@ func TestViewMatchesRecomputeQuick(t *testing.T) {
 			var batch []rdf.Triple
 			ext := workload.RandomGraph(rng, 1+rng.Intn(5), nil)
 			ext.ForEach(func(tr rdf.Triple) bool { batch = append(batch, tr); return true })
-			v.Insert(batch...)
+			mustInsert(t, v, batch...)
 			want := sparql.EvalConstruct(v.Base(), q)
 			if !v.Graph().Equal(want) {
 				t.Logf("query %s\nview:\n%s\nrecompute:\n%s", q, v.Graph(), want)
@@ -115,4 +115,14 @@ func TestViewMatchesRecomputeQuick(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustInsert is an ungoverned Insert that fails the test on error.
+func mustInsert(t testing.TB, v *View, triples ...rdf.Triple) int {
+	t.Helper()
+	added, err := v.Insert(nil, nil, triples...)
+	if err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	return added
 }

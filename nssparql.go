@@ -106,8 +106,16 @@ func ParseConstruct(s string) (ConstructQuery, error) { return parser.ParseConst
 // ParseQuery parses either kind of query.
 func ParseQuery(s string) (Query, error) { return parser.ParseQuery(s) }
 
-// Eval computes ⟦P⟧_G.
-func Eval(g Store, p Pattern) *MappingSet { return sparql.Eval(g, p) }
+// Eval computes ⟦P⟧_G with the query planner and the ID-native row
+// engine (join reordering, filter push-down, hash and merge joins).
+// A malformed pattern evaluates to the empty set.
+func Eval(g Store, p Pattern) *MappingSet {
+	ms, err := plan.EvalPrepared(g, plan.Prepare(g, p, plan.PlannerOptions{}), nil, plan.Options{})
+	if err != nil {
+		return sparql.NewMappingSet()
+	}
+	return ms
+}
 
 // EvalConstruct computes ans(Q, G) as an RDF graph.
 func EvalConstruct(g Store, q ConstructQuery) Store { return sparql.EvalConstruct(g, q) }
@@ -157,10 +165,6 @@ func CheckSubsumptionFree(p Pattern, opts CheckOpts) *Counterexample {
 // MemberOf decides the Section 7 evaluation problem µ ∈ ⟦P⟧_G with the
 // constrained membership procedure (bindings of µ become constants).
 func MemberOf(g Store, p Pattern, mu Mapping) bool { return sparql.Member(g, p, mu) }
-
-// EvalOptimized evaluates with the query planner (hash joins, join
-// reordering, filter push-down); always returns exactly ⟦P⟧_G.
-func EvalOptimized(g Store, p Pattern) *MappingSet { return plan.Eval(g, p) }
 
 // NewView materializes a monotone CONSTRUCT[AUF] view with incremental
 // insert-only maintenance (Corollary 6.8); see the views package.
